@@ -105,6 +105,28 @@ void BM_Simulation64(benchmark::State& state) {
 }
 BENCHMARK(BM_Simulation64);
 
+// check_equivalence of a subject against its dag_map'd netlist.  The
+// mapped side is all Logic nodes (MappedNetlist::to_network), the case
+// BM_Simulation64's NAND2/INV subject never reaches.  Items are node
+// evaluations: both networks, every simulated 64-vector word.
+void BM_CheckEquivalenceMapped(benchmark::State& state) {
+  const Network& sg = adder_subject(static_cast<unsigned>(state.range(0)));
+  const Network mapped = dag_map(sg, lib2()).netlist.to_network();
+  for (auto _ : state) {
+    EquivalenceResult r = check_equivalence(sg, mapped);
+    if (!r.equivalent) state.SkipWithError("mapped netlist not equivalent");
+    benchmark::DoNotOptimize(r.equivalent);
+  }
+  // Default limits: exhaustive up to 14 sources, else 64 random rounds.
+  const std::size_t sources = sg.num_inputs() + sg.num_latches();
+  const std::int64_t words =
+      sources > 14 ? 64
+                   : std::max<std::int64_t>(1, (std::int64_t{1} << sources) / 64);
+  state.SetItemsProcessed(state.iterations() * words *
+                          static_cast<std::int64_t>(sg.size() + mapped.size()));
+}
+BENCHMARK(BM_CheckEquivalenceMapped)->Arg(6)->Arg(64);
+
 void BM_Isop(benchmark::State& state) {
   TruthTable f(static_cast<unsigned>(state.range(0)));
   std::uint64_t s = 0x1234;

@@ -318,6 +318,10 @@ void Network::fill_topology(TopologyCache::Data& d) const {
   d.topo.reserve(n);
   for (NodeId id = 0; id < n; ++id)
     if (is_source(id)) d.topo.push_back(id);
+  // A zero-input Logic node (a constant table) has no in-edges either;
+  // it starts Kahn's queue right after the sources.
+  for (NodeId id = 0; id < n; ++id)
+    if (!is_source(id) && pending[id] == 0) d.topo.push_back(id);
   for (std::size_t head = 0; head < d.topo.size(); ++head) {
     NodeId v = d.topo[head];
     for (std::uint32_t e = d.fanout_offsets[v]; e < d.fanout_offsets[v + 1];

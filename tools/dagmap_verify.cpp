@@ -8,7 +8,8 @@
 // to augment that library with generated supergates first (depth
 // defaults to 2), so netlists produced by `dagmap_cli --supergates`
 // resolve their supergate instances.  Interfaces must match by
-// PI/PO names and order.  Sequential circuits are compared
+// PI/PO names and order; a mismatch is reported as a usage error
+// naming the first differing index.  Sequential circuits are compared
 // combinationally (latch outputs as inputs, latch D as outputs), which
 // is the invariant technology mapping must preserve.  Exit code: 0
 // equivalent, 1 not, 2 usage/IO error.
@@ -76,6 +77,11 @@ int main(int argc, char** argv) try {
               revised.num_inputs(), revised.num_outputs(),
               revised.num_latches(), files[1].c_str());
 
+  if (std::string mismatch = interface_mismatch(golden, revised);
+      !mismatch.empty()) {
+    std::fprintf(stderr, "dagmap_verify: %s\n", mismatch.c_str());
+    return 2;
+  }
   EquivalenceResult r = check_equivalence(golden, revised);
   if (r.equivalent) {
     std::printf("EQUIVALENT\n");
