@@ -122,17 +122,21 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
   }
 
   unsigned num_threads = resolve_num_threads(options.num_threads);
-  struct alignas(64) WorkerCounters {
+  struct alignas(64) WorkerState {
     std::uint64_t enumerated = 0;
+    /// Running best match of the node being labeled; its storage is
+    /// reused across improvements and nodes.
+    Match best;
   };
-  std::vector<WorkerCounters> counters(num_threads);
+  std::vector<WorkerState> workers(num_threads);
 
   auto label_node = [&](NodeId n, unsigned worker) {
     double best = kInf;
     double best_area = kInf;
     const Gate* best_gate = nullptr;
+    WorkerState& w = workers[worker];
     matcher.for_each_match(n, options.match_class, [&](const MatchView& m) {
-      ++counters[worker].enumerated;
+      ++w.enumerated;
       double a = choices ? pricing->match_arrival(m, n)
                          : match_arrival(m, result.label);
       // Primary criterion: arrival.  Tie-break: gate area, so the
@@ -148,12 +152,13 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
         best = a;
         best_area = m.gate->area;
         best_gate = m.gate;
-        fastest[n] = Match(m);
+        w.best.assign(m);
       }
       if (options.area_recovery) all_matches[n].push_back(Match(m));
     });
-    DAGMAP_ASSERT_MSG(fastest[n].has_value(),
+    DAGMAP_ASSERT_MSG(best_gate != nullptr,
                       "no match at an internal subject node");
+    fastest[n] = w.best;
     result.label[n] = best;
     if (choices) {
       // Re-point the selected matches' classed leaves at the class-best
@@ -193,8 +198,8 @@ MapResult dag_map(const Network& subject, const GateLibrary& lib,
             },
             "label.wave");
     }
-    for (const WorkerCounters& c : counters)
-      result.matches_enumerated += c.enumerated;
+    for (const WorkerState& w : workers)
+      result.matches_enumerated += w.enumerated;
     result.match_attempts = matcher.attempts();
     result.match_prunes = matcher.pruned();
     result.truncations = matcher.truncations();

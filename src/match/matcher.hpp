@@ -22,20 +22,34 @@
 //     structural signature (match/signature.hpp); the same signature is
 //     computed for every subject node at construction, and incompatible
 //     (root, pattern) pairs are rejected in O(1) without a walk;
-//   * allocation-free enumeration — the walk and the match assembly run
-//     out of per-thread scratch buffers, and matches reach the callback
-//     as `MatchView` spans into that scratch (valid only during the
-//     callback; copy into a `Match` to keep one).
+//   * a pruned, allocation-free walk — the matcher keeps a flat per-node
+//     copy of the subject (kind and fanins, 12 B/node) so a step costs
+//     one array read; one-to-one (Standard/Exact) is enforced while
+//     walking, through per-thread "subject node bound" marks, so a walk
+//     stops at the first pattern node that would reuse a bound subject
+//     node; before descending into a NAND2/INV child pairing the walk
+//     looks one level ahead and drops the pairing when a pattern child
+//     cannot take its subject child (kind mismatch, or a node already
+//     bound elsewhere).  Pruned subtrees hold no admissible binding, so
+//     matches come out in the same order as a full walk with a post-hoc
+//     filter would produce them.  Matches are deduplicated per root on
+//     (gate, pins) in an epoch-stamped flat table; the walk, that table
+//     and the match assembly run out of per-thread scratch buffers, and
+//     matches reach the callback as `MatchView` spans into that scratch
+//     (valid only during the callback; copy into a `Match` to keep one).
 //
 // `for_each_match` is safe to call concurrently from several threads on
 // the same `Matcher` (the statistics counters are atomic; scratch is
-// per-thread), which is what the parallel wavefront labeler relies on.
+// per-thread and left clean between calls, so one thread may interleave
+// calls against several matchers), which is what the parallel wavefront
+// labeler and the serve workers rely on.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "library/gate_library.hpp"
@@ -57,6 +71,10 @@ struct MatchView;
 struct Match {
   Match() = default;
   explicit Match(const MatchView& v);
+
+  /// Overwrites this match with `v`, reusing the vectors' capacity (the
+  /// labelers' running best is reassigned on every improvement).
+  void assign(const MatchView& v);
 
   const Gate* gate = nullptr;
   const PatternGraph* pattern = nullptr;
@@ -129,12 +147,32 @@ class Matcher {
   Matcher(const GateLibrary& lib, const Network& subject,
           MatcherOptions options = {}, const PatternIndex* index = nullptr);
 
-  using MatchCallback = std::function<void(const MatchView&)>;
+  /// Non-owning reference to a `void(const MatchView&)` callable (a
+  /// function_ref): one indirect call per match, no allocation.  The
+  /// callable must outlive the `for_each_match` call, which a lambda
+  /// written at the call site does.
+  class MatchCallback {
+   public:
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, MatchCallback> &&
+               std::is_invocable_v<F&, const MatchView&>)
+    MatchCallback(F&& f)  // NOLINT(google-explicit-constructor)
+        : obj_(const_cast<void*>(
+              static_cast<const void*>(std::addressof(f)))),
+          call_([](void* obj, const MatchView& m) {
+            (*static_cast<std::remove_reference_t<F>*>(obj))(m);
+          }) {}
+
+    void operator()(const MatchView& m) const { call_(obj_, m); }
+
+   private:
+    void* obj_;
+    void (*call_)(void*, const MatchView&);
+  };
 
   /// Invokes `cb` for every deduplicated match rooted at `root`.
   /// `root` must be an internal (NAND2/INV) node.  Thread-safe.
-  void for_each_match(NodeId root, MatchClass mc,
-                      const MatchCallback& cb) const;
+  void for_each_match(NodeId root, MatchClass mc, MatchCallback cb) const;
 
   /// Convenience: collects the matches at `root` into a vector.
   std::vector<Match> matches_at(NodeId root, MatchClass mc) const;
@@ -161,14 +199,27 @@ class Matcher {
   /// enumeration is cut off.
   static constexpr std::uint64_t kEnumerationBudget = 50'000;
 
+  /// Test hook: true iff the calling thread's walk-time one-to-one marks
+  /// are all clear (they must be between `for_each_match` calls).
+  static bool thread_marks_clear();
+
+  /// One subject node as the walk reads it: the pattern kind it can bind
+  /// (Leaf for sources and latches) and its fanins (kNullNode if absent).
+  struct FlatNode {
+    NodeId fanin0 = kNullNode;
+    NodeId fanin1 = kNullNode;
+    PatternNode::Kind kind = PatternNode::Kind::Leaf;
+  };
+
  private:
   const GateLibrary& lib_;
-  const Network& subject_;
   MatcherOptions options_;
   /// View of the subject's cached fanout counts (no per-matcher copy;
   /// valid while the subject is not structurally mutated).
   std::span<const std::uint32_t> fanout_counts_;
   std::vector<NodeSignature> subject_sigs_;
+  /// Flat copy of the subject's NAND2/INV structure (one record per node).
+  std::vector<FlatNode> flat_;
   /// Library-side pre-index (match/pattern_index.hpp): built privately
   /// when the constructor receives no external one, otherwise empty.
   PatternIndex owned_index_;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/expr.hpp"
 
 namespace dagmap {
@@ -119,6 +121,30 @@ TEST(Blif, ErrorsOnMalformedInput) {
       parse_blif(".model m\n.inputs a b\n.outputs o\n.names a b o\n"
                  "11 1\n00 0\n.end\n"),
       ParseError);  // mixed on/off cover
+}
+
+TEST(Blif, WideNamesIsAParseError) {
+  // A .names block wider than a truth table can hold is a user-input
+  // error: it must surface as a ParseError naming the block's output,
+  // not as an internal contract violation with a source path.
+  std::string text = ".model wide\n.inputs";
+  std::string ins, row;
+  for (int i = 0; i < 20; ++i) {
+    ins += " i" + std::to_string(i);
+    row += '1';
+  }
+  text += ins + "\n.outputs wide_out\n.names" + ins + " wide_out\n" + row +
+          " 1\n.end\n";
+  try {
+    parse_blif(text);
+    FAIL() << "20-input .names parsed without error";
+  } catch (const ParseError& e) {
+    std::string msg = e.what();
+    EXPECT_NE(msg.find("wide_out"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("contract violated"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find('/'), std::string::npos) << msg;
+  }
 }
 
 TEST(Blif, CycleDetected) {
