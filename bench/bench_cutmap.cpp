@@ -138,8 +138,7 @@ int main(int argc, char** argv) try {
   GateLibrary lib2 = make_lib2_library();
 
   auto t0 = std::chrono::steady_clock::now();
-  MapResult big_structural =
-      dag_map(big, lib2, {.num_threads = 0});
+  MapResult big_structural = dag_map(big, lib2, {{.num_threads = 0}});
   double structural_seconds = seconds_since(t0);
 
   CutMapOptions big_opt;

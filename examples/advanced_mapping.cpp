@@ -1,11 +1,10 @@
 // Advanced mapping flows: everything beyond the basic dag_map call on
-// one circuit — decomposition choices, Boolean matching, target-delay
+// one circuit — decomposition choices, target-delay
 // relaxation, and the duplication statistics behind the paper's §3.5.
 //
 //   $ ./advanced_mapping [circuit.blif]
 #include <cstdio>
 
-#include "boolmatch/bool_mapper.hpp"
 #include "core/stats.hpp"
 #include "decomp/choices.hpp"
 #include "dagmap/dagmap.hpp"
@@ -21,13 +20,12 @@ int main(int argc, char** argv) {
 
   Network sg = tech_decompose(circuit);
 
-  // 1. Four mappers, one subject.
+  // 1. Three mappers, one subject.
   MapResult tree = tree_map(sg, lib);
   MapResult dag = dag_map(sg, lib);
   ChoiceDecomposition choices = tech_decompose_choices(circuit);
   MapResult choice =
-      dag_map(choices.subject, lib, {.choices = &choices.classes});
-  MapResult boolm = bool_map(sg, lib);
+      dag_map(choices.subject, lib, {{.choices = &choices.classes}});
 
   std::printf("\n%-22s %10s %10s %8s\n", "mapper", "delay", "area", "gates");
   auto row = [&](const char* name, const MapResult& r) {
@@ -37,7 +35,6 @@ int main(int argc, char** argv) {
   row("tree covering", tree);
   row("DAG covering", dag);
   row("DAG + choices", choice);
-  row("Boolean matching", boolm);
 
   // 2. The §3.5 mechanics: what DAG covering duplicated.
   MappingStats ds = mapping_stats(sg, dag.netlist);
@@ -64,7 +61,7 @@ int main(int argc, char** argv) {
 
   // 4. Everything is verified.
   bool ok = true;
-  for (const MapResult* r : {&tree, &dag, &boolm})
+  for (const MapResult* r : {&tree, &dag})
     ok = ok && check_equivalence(sg, r->netlist.to_network()).equivalent;
   ok = ok && check_equivalence(circuit, choice.netlist.to_network()).equivalent;
   std::printf("\nall mappings verified: %s\n", ok ? "yes" : "NO");

@@ -95,8 +95,10 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
   }
 
   // Fast mapper, both match classes, sequential labeling.
-  MapResult std_map = dag_map(subject, lib, {.match_class = MatchClass::Standard});
-  MapResult ext_map = dag_map(subject, lib, {.match_class = MatchClass::Extended});
+  MapResult std_map =
+      dag_map(subject, lib, {{.match_class = MatchClass::Standard}});
+  MapResult ext_map =
+      dag_map(subject, lib, {{.match_class = MatchClass::Extended}});
 
   if (options.invariants & kFuzzEquivalence) {
     for (const auto* r : {&std_map, &ext_map}) {
@@ -164,7 +166,7 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
         parse_genlib(instance.library_text), sg_options,
         "fuzz-sg" + std::to_string(instance.seed));
     MapResult sg_map =
-        dag_map(subject, sg.library, {.match_class = MatchClass::Standard});
+        dag_map(subject, sg.library, {{.match_class = MatchClass::Standard}});
     if (options.inject_supergate_bug)
       sg_map.optimal_delay = std_map.optimal_delay + 1.0;
     if (sg_map.optimal_delay > std_map.optimal_delay + kEps)
@@ -185,8 +187,8 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
     std::string blif1 = write_mapped_blif(std_map.netlist);
     for (unsigned threads : {2u, 0u}) {
       MapResult r = dag_map(subject, lib,
-                            {.match_class = MatchClass::Standard,
-                             .num_threads = threads});
+                            {{.match_class = MatchClass::Standard,
+                              .num_threads = threads}});
       if (r.label != std_map.label) {
         fail("ThreadDeterminism",
              "labels differ between num_threads=1 and num_threads=" +
@@ -213,10 +215,10 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
     };
     for (Config c : {Config{1, 1}, Config{3, 2}, Config{8, 0}}) {
       MapResult r = dag_map(subject, lib,
-                            {.match_class = MatchClass::Standard,
-                             .num_threads = c.threads,
-                             .partition_mode = PartitionMode::On,
-                             .partition_window = c.window});
+                            {{.match_class = MatchClass::Standard,
+                              .num_threads = c.threads,
+                              .partition_mode = PartitionMode::On,
+                              .partition_window = c.window}});
       std::string where = " (window=" + std::to_string(c.window) +
                           ", threads=" + std::to_string(c.threads) + ")";
       if (!r.partitioned) {
@@ -299,10 +301,10 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
     ChoiceDecomposition choice = tech_decompose_choices(instance.circuit);
     choice.validate();
     MapResult base =
-        dag_map(choice.subject, lib, {.match_class = MatchClass::Standard});
+        dag_map(choice.subject, lib, {{.match_class = MatchClass::Standard}});
     MapResult on = dag_map(choice.subject, lib,
-                           {.match_class = MatchClass::Standard,
-                            .choices = &choice.classes});
+                           {{.match_class = MatchClass::Standard,
+                             .choices = &choice.classes}});
     CutMapOptions ccopt;
     ccopt.match_class = MatchClass::Standard;
     ccopt.cut_count = 4;
@@ -345,8 +347,8 @@ FuzzReport run_fuzz_instance(const FuzzInstance& instance,
         if (serialize_compiled_library(loaded.lib) != bytes)
           fail("LibCache", "save -> load -> save is not byte-stable");
         MapResult r = dag_map(subject, loaded.lib.library,
-                              {.match_class = MatchClass::Standard,
-                               .pattern_index = &loaded.lib.index});
+                              {{.match_class = MatchClass::Standard,
+                                .pattern_index = &loaded.lib.index}});
         if (r.label != std_map.label)
           fail("LibCache", "labels differ between the fresh and the "
                            "cache-loaded library");

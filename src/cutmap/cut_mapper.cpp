@@ -1,177 +1,145 @@
 #include "cutmap/cut_mapper.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
-#include <numeric>
 #include <optional>
 #include <utility>
 
-#include "core/choice_pricing.hpp"
-#include "core/parallel.hpp"
-#include "core/partition.hpp"
+#include "core/map_driver.hpp"
 #include "cutmap/cut_set.hpp"
-#include "dagmap/load_rounds.hpp"
-#include "mapnet/cover.hpp"
-#include "netlist/assert.hpp"
 
 namespace dagmap {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kInf = MapDriver::kInf;
+constexpr double kEps = MapOptions::epsilon;
 
-// One candidate implementation of a subject node: a structural match
-// (`view` valid only during the enumeration callback) or an NPN cut
-// match (cut leaves + the transform relating cut and gate functions).
-struct Candidate {
+// An NPN cut match: the cut leaves plus the transform relating cut and
+// gate functions.  Gate pin i reads cut leaf rel.perm[i], negated iff
+// bit i of rel.input_negate; `area` includes the materialized inverters.
+struct NpnCandidate {
   double arrival = 0.0;
-  double area = 0.0;  ///< gate area plus materialized inverters
+  double area = 0.0;
   const Gate* gate = nullptr;
-  bool is_npn = false;
-  const MatchView* view = nullptr;     ///< structural only
-  std::span<const NodeId> cut_leaves;  ///< NPN only
-  NpnTransform rel;                    ///< NPN only
+  std::span<const NodeId> cut_leaves;
+  NpnTransform rel;
+
+  void materialize(Match& m) const {
+    m.gate = gate;
+    m.pattern = nullptr;
+    m.covered.clear();
+    unsigned ni = gate->num_inputs();
+    m.pin_binding.resize(ni);
+    for (unsigned pin = 0; pin < ni; ++pin)
+      m.pin_binding[pin] = cut_leaves[rel.perm[pin]];
+    m.input_negate =
+        static_cast<std::uint8_t>(rel.input_negate & ((1u << ni) - 1u));
+    m.output_negate = rel.output_negate;
+  }
+  template <class Fn>
+  void for_each_pin_leaf(Fn&& fn) const {
+    unsigned ni = gate->num_inputs();
+    for (unsigned pin = 0; pin < ni; ++pin) fn(cut_leaves[rel.perm[pin]]);
+  }
 };
 
-// Writes a candidate into `m`, the owning Match the cover machinery
-// consumes, reusing its storage.  NPN matches: gate pin i reads cut leaf
-// rel.perm[i], negated iff bit i of rel.input_negate (same relation as
-// boolmatch/bool_mapper.cpp).
-void materialize(const Candidate& c, Match& m) {
-  if (!c.is_npn) {
-    m.assign(*c.view);
-    return;
+// cut_map's candidate set: the structural matches, then the NPN matches
+// of every stored non-trivial priority cut.  Per-node enumeration order
+// is deterministic (matcher order, then cut rank order, then library
+// order), independent of thread count and schedule.
+class CutProvider {
+ public:
+  CutProvider(MapDriver& drv, const CutMapOptions& options,
+              const NpnLibraryIndex& npn)
+      : drv_(drv),
+        npn_(npn),
+        params_{options.cut_size, options.cut_count},
+        inv_delay_(drv.lib.inverter()->pins[0].delay()),
+        inv_area_(drv.lib.inverter()->area),
+        fanout_(drv.subject.fanout_counts()),
+        cuts_(drv.subject.size()),
+        node_af_(drv.subject.size(), 0.0),
+        rank_{drv.result.label, node_af_, fanout_},
+        workers_(drv.num_threads()) {}
+
+  double inv_delay() const { return inv_delay_; }
+
+  // Priority cuts of n, ranked by the settled fanin labels and area flows.
+  void prepare(NodeId n, unsigned worker) {
+    compute_priority_cuts(drv_.subject, n, cuts_, params_, rank_,
+                          workers_[worker].scratch, cuts_[n]);
   }
-  m.gate = c.gate;
-  m.pattern = nullptr;
-  m.covered.clear();
-  unsigned ni = c.gate->num_inputs();
-  m.pin_binding.resize(ni);
-  for (unsigned pin = 0; pin < ni; ++pin)
-    m.pin_binding[pin] = c.cut_leaves[c.rel.perm[pin]];
-  m.input_negate =
-      static_cast<std::uint8_t>(c.rel.input_negate & ((1u << ni) - 1u));
-  m.output_negate = c.rel.output_negate;
-}
 
-}  // namespace
-
-MapResult cut_map(const Network& subject, const GateLibrary& lib,
-                  const CutMapOptions& options) {
-  if (options.load_rounds > 0) {
-    // Load-aware rounds: each is one plain cut_map against a re-priced
-    // library copy.  The structural pattern index is index-based and
-    // shape-compatible with every copy; the NPN index holds Gate
-    // pointers into the *original* library, so re-priced rounds rebuild
-    // it (gate functions are unchanged, only delays move, and delays do
-    // not enter NPN canonization — the rebuilt index is identical).
-    CutMapOptions inner = options;
-    inner.load_rounds = 0;
-    bool own_session = options.profile && !obs::enabled();
-    if (own_session) obs::start();
-    MapResult r = map_with_load_rounds(
-        lib, options.load_rounds, options.load_model, options.epsilon,
-        [&](const GateLibrary& round_lib) {
-          CutMapOptions round_opt = inner;
-          if (&round_lib != &lib) round_opt.npn_index = nullptr;
-          return cut_map(subject, round_lib, round_opt);
-        });
-    if (options.profile) {
-      if (own_session) obs::stop();
-      r.profile = obs::collect();
+  template <class Cb>
+  void for_each_candidate(NodeId n, unsigned worker, Cb&& cb) {
+    drv_.for_each_structural(n, worker, cb);
+    const CutSet& cs = cuts_[n];
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      CutSet::View cut = cs.cut(i);
+      if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+      if (cut.tt == 0x0000 || cut.tt == 0xFFFF) continue;  // constant cone
+      auto [canon, to_canon] = canon_of(cut.tt, workers_[worker]);
+      const std::vector<NpnLibEntry>* bucket = npn_.find(canon);
+      if (!bucket) continue;
+      NpnTransform from_canon = npn_inverse(to_canon);
+      for (const NpnLibEntry& e : *bucket) {
+        drv_.count_candidate(worker);
+        // cut tt == npn_apply(gate tt, rel) with
+        // rel = compose(gate->canonical, inverse(cut->canonical)).
+        NpnCandidate c;
+        c.rel = npn_compose(e.to_canonical, from_canon);
+        c.gate = e.gate;
+        c.area = e.gate->area;
+        c.cut_leaves = cut.leaves;
+        unsigned ni = e.gate->num_inputs();
+        bool valid = true;
+        for (unsigned pin = 0; pin < ni; ++pin) {
+          unsigned leaf_idx = c.rel.perm[pin];
+          if (leaf_idx >= cut.leaves.size()) {
+            // Pin bound to a padded variable: impossible for full-support
+            // gates when the (support-reduced) tables match.
+            valid = false;
+            break;
+          }
+          double a = drv_.leaf_price(n, cut.leaves[leaf_idx]);
+          if ((c.rel.input_negate >> pin) & 1u) {
+            a += inv_delay_;
+            c.area += inv_area_;
+          }
+          c.arrival = std::max(c.arrival, a + e.gate->pins[pin].delay());
+        }
+        if (!valid) continue;
+        if (c.rel.output_negate) {
+          c.arrival += inv_delay_;
+          c.area += inv_area_;
+        }
+        cb(c);
+      }
     }
-    return r;
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  DAGMAP_ASSERT_MSG(subject.is_subject_graph(),
-                    "cut_map requires a NAND2/INV subject graph");
-  DAGMAP_ASSERT_MSG(lib.is_complete_for_mapping(),
-                    "library must contain INV and NAND2");
-  DAGMAP_ASSERT(options.cut_size >= 2 && options.cut_size <= kNpnMaxVars);
-  DAGMAP_ASSERT(options.cut_count >= 1);
-
-  bool own_session = options.profile && !obs::enabled();
-  if (own_session) obs::start();
-
-  const Gate* inv_gate = lib.inverter();
-  const double inv_delay = inv_gate->pins[0].delay();
-  const double inv_area = inv_gate->area;
-
-  // The NPN library index (boolmatch/npn_index.hpp): built per call
-  // unless serve mode / the compiled-library cache passes one in.
-  std::optional<NpnLibraryIndex> owned_npn;
-  const NpnLibraryIndex* npn = options.npn_index;
-  if (!npn) {
-    obs::Scope scope("cutmap.npn_index");
-    npn = &owned_npn.emplace(lib);
   }
 
-  MapResult result;
-  Matcher matcher = [&] {
-    obs::Scope scope("match.build");
-    return Matcher(lib, subject,
-                   {.use_signature_index = options.use_signature_index},
-                   options.pattern_index);
-  }();
-  obs::counter_add("library.patterns", lib.total_patterns());
-  obs::counter_add("cutmap.npn_gates", npn->num_entries());
-
-  result.label.assign(subject.size(), 0.0);
-
-  // Choice-aware leaf pricing (core/choice_pricing.hpp), shared with
-  // dag_map.  Recycling is forced on while choices are active: the
-  // rounds' cut recomputation would drop the merged class sets.
-  const ChoiceClasses* choices =
-      options.choices && options.choices->active() ? options.choices : nullptr;
-  std::optional<ChoicePricing> pricing;
-  if (choices) pricing.emplace(subject, *choices, result.label);
-  const bool recycle_cuts = options.recycle_cuts || choices != nullptr;
-
-  // Area-flow estimate of each node's selected cover (cut-ranking input;
-  // frozen after the labeling pass so recomputed cut sets are identical).
-  std::vector<double> node_af(subject.size(), 0.0);
-  std::vector<CutSet> cuts(subject.size());
-  std::vector<std::optional<Match>> fastest(subject.size());
-
-  const auto& order = subject.topo_order();
-  const auto& fanout = subject.fanout_counts();
-  PriorityCutParams cut_params{options.cut_size, options.cut_count};
-
-  // ---- schedule selection (same machinery as dag_map) -----------------
-  bool use_partitions =
-      options.partition_mode == PartitionMode::On ||
-      (options.partition_mode == PartitionMode::Auto &&
-       subject.num_internal() >= options.partition_auto_threshold);
-  std::optional<Partitioning> parts;
-  if (use_partitions) {
-    parts = partition_subject(subject, {.window_size = options.partition_window,
-                                        .choices = choices});
-    result.partitioned = true;
-    result.num_partitions = parts->num_partitions();
-    result.partition_waves = parts->num_waves();
-    result.partition_boundary_edges = parts->boundary_edges();
-    result.partition_max_nodes = parts->max_partition_nodes();
+  // Class-cut merge at the anchor's fold, then n's area flow (the
+  // cut-ranking input of its readers) from the rewritten selection.
+  void labeled(NodeId n, unsigned, double area) {
+    if (drv_.choices && drv_.choices->is_class_anchor(n)) merge_class_cuts(n);
+    double af = area;
+    for (NodeId leaf : drv_.chosen[n]->pin_binding)
+      if (!drv_.subject.is_source(leaf))
+        af += node_af_[leaf] / std::max<std::uint32_t>(1, fanout_[leaf]);
+    node_af_[n] = af;
   }
-  std::vector<std::vector<NodeId>> waves;
-  if (!use_partitions && choices) {
-    waves = choice_wavefronts(subject, *choices);
-  } else if (!use_partitions) {
-    std::vector<std::uint32_t> level(subject.size(), 0);
-    std::uint32_t max_level = 0;
-    for (NodeId n : order) {
-      if (subject.is_source(n)) continue;
-      std::uint32_t l = 0;
-      for (NodeId f : subject.fanins(n)) l = std::max(l, level[f]);
-      level[n] = l + 1;
-      max_level = std::max(max_level, level[n]);
+
+  void add_counters() {
+    std::size_t total_cuts = 0, cut_bytes = 0;
+    for (const CutSet& cs : cuts_) {
+      total_cuts += cs.size();
+      cut_bytes += cs.memory_bytes();
     }
-    waves.resize(max_level + 1);
-    for (NodeId n : order)
-      if (!subject.is_source(n)) waves[level[n]].push_back(n);
+    obs::counter_add("cutmap.cuts", total_cuts);
+    obs::counter_add("cutmap.cut_bytes", cut_bytes);
   }
 
-  unsigned num_threads = resolve_num_threads(options.num_threads);
+ private:
   struct alignas(64) WorkerState {
     CutScratch scratch;
     /// Flat per-worker canonicalization memo (lazy 64K tables): a node's
@@ -179,127 +147,17 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
     /// transform scan runs once per distinct table per worker.
     std::vector<std::int32_t> canon;
     std::vector<NpnTransform> canon_t;
-    std::uint64_t enumerated = 0;
-    /// Running best candidate of the node being labeled, materialized;
-    /// its storage is reused across improvements and nodes.
-    Match best;
   };
-  std::vector<WorkerState> workers(num_threads);
 
-  auto canon_of = [&](std::uint16_t tt, WorkerState& w)
-      -> std::pair<std::uint16_t, const NpnTransform&> {
+  static std::pair<std::uint16_t, const NpnTransform&> canon_of(
+      std::uint16_t tt, WorkerState& w) {
     if (w.canon.empty()) {
       w.canon.assign(std::size_t{1} << 16, -1);
       w.canon_t.resize(std::size_t{1} << 16);
     }
     if (w.canon[tt] < 0) w.canon[tt] = npn_canonical(tt, &w.canon_t[tt]);
     return {static_cast<std::uint16_t>(w.canon[tt]), w.canon_t[tt]};
-  };
-
-  // Candidate union at a node: structural matches first, then NPN
-  // matches of every stored non-trivial cut.  Per-node enumeration order
-  // is deterministic (matcher order, then cut rank order, then library
-  // order), independent of thread count and schedule.
-  auto for_each_candidate = [&](NodeId n, WorkerState& w, auto&& cb) {
-    matcher.for_each_match(n, options.match_class, [&](const MatchView& m) {
-      ++w.enumerated;
-      Candidate c;
-      c.arrival = choices ? pricing->match_arrival(m, n)
-                          : match_arrival(m, result.label);
-      c.area = m.gate->area;
-      c.gate = m.gate;
-      c.view = &m;
-      cb(c);
-    });
-    const CutSet& cs = cuts[n];
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      CutSet::View cut = cs.cut(i);
-      if (cut.leaves.size() == 1 && cut.leaves[0] == n) continue;  // trivial
-      if (cut.tt == 0x0000 || cut.tt == 0xFFFF) continue;  // constant cone
-      auto [canon, to_canon] = canon_of(cut.tt, w);
-      const std::vector<NpnLibEntry>* bucket = npn->find(canon);
-      if (!bucket) continue;
-      NpnTransform from_canon = npn_inverse(to_canon);
-      for (const NpnLibEntry& e : *bucket) {
-        ++w.enumerated;
-        // cut tt == npn_apply(gate tt, rel) with
-        // rel = compose(gate->canonical, inverse(cut->canonical)).
-        NpnTransform rel = npn_compose(e.to_canonical, from_canon);
-        unsigned ni = e.gate->num_inputs();
-        double arrival = 0.0;
-        double area = e.gate->area;
-        bool valid = true;
-        for (unsigned pin = 0; pin < ni; ++pin) {
-          unsigned leaf_idx = rel.perm[pin];
-          if (leaf_idx >= cut.leaves.size()) {
-            // Pin bound to a padded variable: impossible for full-support
-            // gates when the (support-reduced) tables match.
-            valid = false;
-            break;
-          }
-          double a = choices ? pricing->leaf_price(n, cut.leaves[leaf_idx])
-                             : result.label[cut.leaves[leaf_idx]];
-          if ((rel.input_negate >> pin) & 1u) {
-            a += inv_delay;
-            area += inv_area;
-          }
-          arrival = std::max(arrival, a + e.gate->pins[pin].delay());
-        }
-        if (!valid) continue;
-        if (rel.output_negate) {
-          arrival += inv_delay;
-          area += inv_area;
-        }
-        Candidate c;
-        c.arrival = arrival;
-        c.area = area;
-        c.gate = e.gate;
-        c.is_npn = true;
-        c.cut_leaves = cut.leaves;
-        c.rel = rel;
-        cb(c);
-      }
-    }
-  };
-
-  // Pin leaves as the cover will read them: the class-best variant
-  // beyond a class anchor (matching `ChoicePricing::rewrite` and the
-  // refs counted from rewritten selections), the raw leaf otherwise.
-  auto priced_leaf = [&](NodeId n, NodeId leaf) {
-    return choices ? pricing->price_node(n, leaf) : leaf;
-  };
-  auto for_each_pin_leaf = [&](NodeId n, const Candidate& c, auto&& fn) {
-    if (c.is_npn) {
-      unsigned ni = c.gate->num_inputs();
-      for (unsigned pin = 0; pin < ni; ++pin)
-        fn(priced_leaf(n, c.cut_leaves[c.rel.perm[pin]]));
-    } else {
-      for (NodeId leaf : c.view->pin_binding) fn(priced_leaf(n, leaf));
-    }
-  };
-
-  // Runs `body(node, worker)` over every internal node with all fanins
-  // settled, under the selected schedule (barrier between waves).
-  ThreadPool pool(num_threads);
-  auto run_schedule = [&](auto&& body, const char* trace) {
-    if (use_partitions) {
-      for (std::size_t w = 0; w < parts->num_waves(); ++w) {
-        std::span<const PartId> wave = parts->wave(w);
-        pool.parallel_for(
-            wave.size(),
-            [&](std::size_t i, unsigned worker) {
-              for (NodeId n : parts->members(wave[i])) body(n, worker);
-            },
-            trace);
-      }
-    } else {
-      for (const std::vector<NodeId>& wave : waves)
-        pool.parallel_for(
-            wave.size(),
-            [&](std::size_t i, unsigned worker) { body(wave[i], worker); },
-            trace);
-    }
-  };
+  }
 
   // Fold-time cut merge: when a class anchor labels, the union of every
   // member's non-trivial cuts replaces the anchor's own stored set — the
@@ -311,16 +169,15 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
   // race-free.  Deduped by (leaves, tt), ranked (worst leaf label, leaf
   // count, leaves) like the priority ranking, capped at cut_count; the
   // anchor's trivial self-cut stays last.
-  auto merge_class_cuts = [&](NodeId anchor) {
-    std::span<const NodeId> mem = choices->members(anchor);
+  void merge_class_cuts(NodeId anchor) {
     struct MergedCut {
       std::vector<NodeId> leaves;
       std::uint16_t tt;
       double arrival;
     };
     std::vector<MergedCut> merged;
-    for (NodeId m : mem) {
-      const CutSet& cs = cuts[m];
+    for (NodeId m : drv_.choices->members(anchor)) {
+      const CutSet& cs = cuts_[m];
       for (std::size_t i = 0; i < cs.size(); ++i) {
         CutSet::View cut = cs.cut(i);
         if (cut.leaves.size() == 1 && cut.leaves[0] == m) continue;  // trivial
@@ -333,7 +190,7 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
         if (dup) continue;
         double arrival = 0.0;
         for (NodeId leaf : cut.leaves)
-          arrival = std::max(arrival, result.label[leaf]);
+          arrival = std::max(arrival, drv_.result.label[leaf]);
         merged.push_back({{cut.leaves.begin(), cut.leaves.end()}, cut.tt,
                           arrival});
       }
@@ -346,298 +203,175 @@ MapResult cut_map(const Network& subject, const GateLibrary& lib,
                 if (a.leaves != b.leaves) return a.leaves < b.leaves;
                 return a.tt < b.tt;
               });
-    if (merged.size() > options.cut_count) merged.resize(options.cut_count);
+    if (merged.size() > params_.cut_count) merged.resize(params_.cut_count);
     CutSet out;
     for (const MergedCut& mc : merged) out.add(mc.leaves, mc.tt);
-    const CutSet& old_anchor = cuts[anchor];
+    const CutSet& old_anchor = cuts_[anchor];
     for (std::size_t i = 0; i < old_anchor.size(); ++i) {
       CutSet::View cut = old_anchor.cut(i);
       if (cut.leaves.size() == 1 && cut.leaves[0] == anchor)
         out.add(cut.leaves, cut.tt);  // the trivial self-cut, kept last
     }
-    cuts[anchor] = std::move(out);
+    cuts_[anchor] = std::move(out);
+  }
+
+  MapDriver& drv_;
+  const NpnLibraryIndex& npn_;
+  PriorityCutParams params_;
+  double inv_delay_;
+  double inv_area_;
+  const std::vector<std::uint32_t>& fanout_;
+  std::vector<CutSet> cuts_;
+  /// Area-flow estimate of each node's selected cover (cut-ranking
+  /// input, frozen after labeling).
+  std::vector<double> node_af_;
+  CutRankInputs rank_;  ///< labels, node_af_, fanout_
+  std::vector<WorkerState> workers_;
+};
+
+// Area-recovery rounds (abc-zz LutMap's n_rounds/delay_factor) over the
+// stored round-0 candidates.
+void run_area_rounds(MapDriver& drv, CutProvider& provider,
+                     const CutMapOptions& options) {
+  obs::Scope scope("rounds");
+  const Network& subject = drv.subject;
+  const Network& cnet = drv.endpoints();
+  std::span<const NodeId> eval_order = drv.eval_order();
+  const auto& fanout = subject.fanout_counts();
+  const unsigned rounds = options.rounds;
+  double target =
+      drv.result.optimal_delay * std::max(1.0, options.delay_factor);
+  // Reference counts: subject fanouts for the first area round, the
+  // previous round's cover references afterwards.
+  std::vector<std::uint32_t> refs(fanout.begin(), fanout.end());
+  std::vector<double> area_flow(subject.size(), 0.0);
+  std::vector<double> required(subject.size(), kInf);
+  std::vector<std::uint8_t> rneeded(subject.size(), 0);
+  // Candidate area plus the leaves' area flow amortized over the round's
+  // reference counts; leaves as the cover will read them.
+  auto candidate_af = [&](NodeId n, const auto& c) {
+    double af = c.area;
+    c.for_each_pin_leaf([&](NodeId leaf) {
+      leaf = drv.priced_leaf(n, leaf);
+      if (!subject.is_source(leaf))
+        af += area_flow[leaf] / std::max<std::uint32_t>(1, refs[leaf]);
+    });
+    return af;
   };
 
-  // ---- phase 1: priority cuts + delay-optimal labeling, fused ---------
-  {
-    obs::Scope scope("label");
-    run_schedule(
+  for (unsigned r = 1; r < rounds; ++r) {
+    // Forward pass: minimum area flow over all candidates per node.
+    drv.run_schedule(
         [&](NodeId n, unsigned worker) {
-          WorkerState& w = workers[worker];
-          compute_priority_cuts(subject, n, cuts, cut_params,
-                                {result.label, node_af, fanout}, w.scratch,
-                                cuts[n]);
-          double best = kInf, best_area = kInf;
-          const Gate* best_gate = nullptr;
-          for_each_candidate(n, w, [&](const Candidate& c) {
-            // Primary criterion: arrival.  Tie-break: implementation area
-            // (inverters included), then gate name; further ties resolve
-            // first-wins in the deterministic per-node enumeration order.
-            bool take = c.arrival < best - options.epsilon;
-            if (!take && c.arrival < best + options.epsilon) {
-              take = c.area < best_area ||
-                     (c.area == best_area && best_gate != nullptr &&
-                      c.gate->name < best_gate->name);
-            }
-            if (take) {
-              best = c.arrival;
-              best_area = c.area;
-              best_gate = c.gate;
-              materialize(c, w.best);
-            }
+          double best = kInf;
+          provider.for_each_candidate(n, worker, [&](const auto& c) {
+            best = std::min(best, candidate_af(n, c));
           });
-          DAGMAP_ASSERT_MSG(best_gate != nullptr,
-                            "no candidate at an internal subject node");
-          fastest[n] = w.best;
-          result.label[n] = best;
-          if (choices) {
-            pricing->rewrite(*fastest[n], n);
-            pricing->on_labeled(n);
-            if (choices->is_class_anchor(n)) merge_class_cuts(n);
-          }
-          double af = best_area;
-          for (NodeId leaf : fastest[n]->pin_binding)
-            if (!subject.is_source(leaf))
-              af += node_af[leaf] / std::max<std::uint32_t>(1, fanout[leaf]);
-          node_af[n] = af;
+          area_flow[n] = best;
         },
-        "cutmap.label");
-    for (const WorkerState& w : workers) result.matches_enumerated += w.enumerated;
-    result.match_attempts = matcher.attempts();
-    result.match_prunes = matcher.pruned();
-    result.truncations = matcher.truncations();
-    if (obs::enabled()) {
-      obs::counter_add("label.waves",
-                       use_partitions ? parts->num_waves() : waves.size());
-      obs::counter_add("label.nodes", subject.num_internal());
-      obs::counter_add("match.enumerated", result.matches_enumerated);
-      std::size_t total_cuts = 0, cut_bytes = 0;
-      for (const CutSet& cs : cuts) {
-        total_cuts += cs.size();
-        cut_bytes += cs.memory_bytes();
+        "rounds.area_flow");
+
+    // Backward pass: needed nodes re-select the minimum-area-flow
+    // candidate meeting their required time, then tighten the leaves'
+    // required times.  The fastest candidate always qualifies (required
+    // >= label holds inductively from target >= optimal), so the delay
+    // bound survives every round.
+    std::fill(required.begin(), required.end(), kInf);
+    std::fill(rneeded.begin(), rneeded.end(), 0);
+    auto endpoint = [&](NodeId n) {
+      required[n] = std::min(required[n], target);
+      if (!subject.is_source(n)) rneeded[n] = 1;
+    };
+    for (const Output& o : cnet.outputs()) endpoint(o.node);
+    for (NodeId l : cnet.latches()) endpoint(cnet.fanins(l)[0]);
+
+    std::uint64_t reselected = 0;
+    for (auto it = eval_order.rbegin(); it != eval_order.rend(); ++it) {
+      NodeId n = *it;
+      if (!rneeded[n]) continue;
+      double pick_af = kInf, pick_arrival = kInf, pick_area = kInf;
+      const Gate* pick_gate = nullptr;
+      bool have = false;
+      Match pick;
+      provider.for_each_candidate(n, 0, [&](const auto& c) {
+        if (c.arrival > required[n] + kEps) return;
+        double af = candidate_af(n, c);
+        bool take = !have || af < pick_af - kEps;
+        if (!take && af < pick_af + kEps) {
+          take = c.arrival < pick_arrival - kEps;
+          if (!take && c.arrival < pick_arrival + kEps)
+            take = c.area < pick_area ||
+                   (c.area == pick_area && pick_gate != nullptr &&
+                    c.gate->name < pick_gate->name);
+        }
+        if (take) {
+          have = true;
+          pick_af = af;
+          pick_arrival = c.arrival;
+          pick_area = c.area;
+          pick_gate = c.gate;
+          c.materialize(pick);
+        }
+      });
+      DAGMAP_ASSERT_MSG(have, "required time unreachable during an area round");
+      if (drv.pricing) drv.pricing->rewrite(pick, n);
+      ++reselected;
+      for (std::size_t pin = 0; pin < pick.pin_binding.size(); ++pin) {
+        NodeId leaf = pick.pin_binding[pin];
+        double req = required[n] - pick.gate->pins[pin].delay();
+        if (pick.output_negate) req -= provider.inv_delay();
+        if ((pick.input_negate >> pin) & 1u) req -= provider.inv_delay();
+        required[leaf] = std::min(required[leaf], req);
+        if (!subject.is_source(leaf)) rneeded[leaf] = 1;
       }
-      obs::counter_add("cutmap.cuts", total_cuts);
-      obs::counter_add("cutmap.cut_bytes", cut_bytes);
+      drv.chosen[n] = std::move(pick);
     }
-  }
+    obs::counter_add("rounds.nodes_reselected", reselected);
 
-  // Endpoint network and forward evaluation order: with choices, the
-  // endpoints move onto the class-best variants and the passes below
-  // walk id (creation) order — rewritten leaves are not structural
-  // fanins of their readers, so Kahn positions no longer bound them.
-  std::optional<Network> redirected;
-  if (choices) redirected = pricing->redirect_endpoints(subject);
-  const Network& cnet = choices ? *redirected : subject;
-  std::vector<NodeId> id_order;
-  if (choices) {
-    id_order.resize(subject.size());
-    std::iota(id_order.begin(), id_order.end(), NodeId{0});
-  }
-  std::span<const NodeId> eval_order =
-      choices ? std::span<const NodeId>(id_order)
-              : std::span<const NodeId>(order);
-
-  for (const Output& o : cnet.outputs())
-    result.optimal_delay = std::max(result.optimal_delay, result.label[o.node]);
-  for (NodeId l : cnet.latches())
-    result.optimal_delay =
-        std::max(result.optimal_delay, result.label[cnet.fanins(l)[0]]);
-
-  std::vector<std::optional<Match>> chosen = fastest;
-
-  // ---- area-recovery rounds (abc-zz LutMap's n_rounds/delay_factor) ---
-  unsigned rounds = std::max(1u, options.rounds);
-  if (rounds > 1) {
-    obs::Scope scope("rounds");
-    double target = result.optimal_delay * std::max(1.0, options.delay_factor);
-    // Reference counts: subject fanouts for the first area round, the
-    // previous round's cover references afterwards.
-    std::vector<std::uint32_t> refs(fanout.begin(), fanout.end());
-    std::vector<double> area_flow(subject.size(), 0.0);
-    std::vector<double> required(subject.size(), kInf);
-    std::vector<std::uint8_t> rneeded(subject.size(), 0);
-
-    if (!recycle_cuts) cuts.assign(subject.size(), CutSet{});
-
-    for (unsigned r = 1; r < rounds; ++r) {
-      if (!recycle_cuts) {
-        // Recompute the cut sets from the frozen phase-1 ranking inputs:
-        // a node's ranking reads only fanin labels / area-flow values,
-        // all finalized, so the recomputation is bit-identical to the
-        // recycled sets — recycling is a memory/time knob, not a result
-        // knob.
-        run_schedule(
-            [&](NodeId n, unsigned worker) {
-              compute_priority_cuts(subject, n, cuts, cut_params,
-                                    {result.label, node_af, fanout},
-                                    workers[worker].scratch, cuts[n]);
-            },
-            "rounds.cuts");
-      }
-
-      // Forward pass: minimum area flow over all candidates per node,
-      // amortizing leaf costs over the round's reference counts.
-      run_schedule(
-          [&](NodeId n, unsigned worker) {
-            double best = kInf;
-            for_each_candidate(n, workers[worker], [&](const Candidate& c) {
-              double af = c.area;
-              for_each_pin_leaf(n, c, [&](NodeId leaf) {
-                if (!subject.is_source(leaf))
-                  af += area_flow[leaf] /
-                        std::max<std::uint32_t>(1, refs[leaf]);
-              });
-              best = std::min(best, af);
-            });
-            area_flow[n] = best;
-          },
-          "rounds.area_flow");
-
-      // Backward pass: needed nodes re-select the minimum-area-flow
-      // candidate meeting their required time, then tighten the leaves'
-      // required times.  The fastest candidate always qualifies
-      // (required >= label holds inductively from target >= optimal), so
-      // the delay bound survives every round.
-      std::fill(required.begin(), required.end(), kInf);
-      std::fill(rneeded.begin(), rneeded.end(), 0);
-      auto endpoint = [&](NodeId n) {
-        required[n] = std::min(required[n], target);
-        if (!subject.is_source(n)) rneeded[n] = 1;
-      };
-      for (const Output& o : cnet.outputs()) endpoint(o.node);
-      for (NodeId l : cnet.latches()) endpoint(cnet.fanins(l)[0]);
-
-      std::uint64_t reselected = 0;
-      for (auto it = eval_order.rbegin(); it != eval_order.rend(); ++it) {
-        NodeId n = *it;
+    if (r + 1 < rounds) {
+      std::fill(refs.begin(), refs.end(), 0);
+      for (NodeId n = 0; n < subject.size(); ++n) {
         if (!rneeded[n]) continue;
-        double pick_af = kInf, pick_arrival = kInf, pick_area = kInf;
-        const Gate* pick_gate = nullptr;
-        bool have = false;
-        Match pick;
-        for_each_candidate(n, workers[0], [&](const Candidate& c) {
-          if (c.arrival > required[n] + options.epsilon) return;
-          double af = c.area;
-          for_each_pin_leaf(n, c, [&](NodeId leaf) {
-            if (!subject.is_source(leaf))
-              af += area_flow[leaf] / std::max<std::uint32_t>(1, refs[leaf]);
-          });
-          bool take = !have || af < pick_af - options.epsilon;
-          if (!take && af < pick_af + options.epsilon) {
-            take = c.arrival < pick_arrival - options.epsilon;
-            if (!take && c.arrival < pick_arrival + options.epsilon)
-              take = c.area < pick_area ||
-                     (c.area == pick_area && pick_gate != nullptr &&
-                      c.gate->name < pick_gate->name);
-          }
-          if (take) {
-            have = true;
-            pick_af = af;
-            pick_arrival = c.arrival;
-            pick_area = c.area;
-            pick_gate = c.gate;
-            materialize(c, pick);
-          }
-        });
-        DAGMAP_ASSERT_MSG(have,
-                          "required time unreachable during an area round");
-        if (choices) pricing->rewrite(pick, n);
-        ++reselected;
-        for (std::size_t pin = 0; pin < pick.pin_binding.size(); ++pin) {
-          NodeId leaf = pick.pin_binding[pin];
-          double req = required[n] - pick.gate->pins[pin].delay();
-          if (pick.output_negate) req -= inv_delay;
-          if ((pick.input_negate >> pin) & 1u) req -= inv_delay;
-          required[leaf] = std::min(required[leaf], req);
-          if (!subject.is_source(leaf)) rneeded[leaf] = 1;
-        }
-        chosen[n] = std::move(pick);
-      }
-      obs::counter_add("rounds.nodes_reselected", reselected);
-
-      if (r + 1 < rounds) {
-        std::fill(refs.begin(), refs.end(), 0);
-        for (NodeId n = 0; n < subject.size(); ++n) {
-          if (!rneeded[n]) continue;
-          for (NodeId leaf : chosen[n]->pin_binding) ++refs[leaf];
-        }
+        for (NodeId leaf : drv.chosen[n]->pin_binding) ++refs[leaf];
       }
     }
-    if (!recycle_cuts) cuts.assign(subject.size(), CutSet{});
   }
+}
 
-  // ---- cover: shared mark/emit split (inverter-aware emission) --------
-  std::vector<std::uint8_t> needed;
-  {
-    obs::Scope scope("cover");
-    {
-      obs::Scope mark_scope("cover.mark");
-      needed = use_partitions
-                   ? mark_cover_partitioned(cnet, chosen, *parts, pool)
-                   : (choices ? mark_cover(cnet, chosen, eval_order)
-                              : mark_cover(subject, chosen));
-    }
-    result.netlist = emit_cover(cnet, chosen, needed, {}, inv_gate);
+MapResult cut_map_once(const Network& subject, const GateLibrary& lib,
+                       const CutMapOptions& options,
+                       const NpnLibraryIndex* npn) {
+  MapDriver drv(subject, lib, options, "cut_map");
+  // The NPN library index (boolmatch/npn_index.hpp): built per call
+  // unless serve mode / the compiled-library cache passes one in.
+  std::optional<NpnLibraryIndex> owned_npn;
+  if (!npn) {
+    obs::Scope scope("cutmap.npn_index");
+    npn = &owned_npn.emplace(lib);
   }
+  obs::counter_add("cutmap.npn_gates", npn->num_entries());
 
-  // ---- duplication accounting -----------------------------------------
-  {
-    obs::Scope scope("stats");
-    std::vector<std::uint32_t> covered_count(subject.size(), 0);
-    std::vector<NodeId> walk;
-    for (NodeId n = 0; n < subject.size(); ++n) {
-      if (!needed[n] || subject.is_source(n)) continue;
-      Match& m = *chosen[n];
-      if (m.covered.empty()) {
-        // NPN matches carry no covered list; derive one by walking the
-        // cone from the root down to the pin leaves.  Support-reduced
-        // cuts can expose structurally large vacuous cones, so the walk
-        // is capped — this feeds statistics only, never the cover.
-        walk.assign(1, n);
-        while (!walk.empty() && m.covered.size() < 256) {
-          NodeId u = walk.back();
-          walk.pop_back();
-          if (std::find(m.covered.begin(), m.covered.end(), u) !=
-              m.covered.end())
-            continue;
-          m.covered.push_back(u);
-          for (NodeId f : subject.fanins(u)) {
-            if (subject.is_source(f)) continue;
-            if (std::find(m.pin_binding.begin(), m.pin_binding.end(), f) ==
-                m.pin_binding.end())
-              walk.push_back(f);
-          }
-        }
-      }
-      for (NodeId c : m.covered) ++covered_count[c];
-    }
-    for (NodeId n = 0; n < subject.size(); ++n) {
-      if (covered_count[n] == 0) continue;
-      result.covered_instances += covered_count[n];
-      ++result.covered_distinct;
-      if (covered_count[n] >= 2) ++result.duplicated_nodes;
-    }
-    obs::counter_add("cover.nodes_duplicated", result.duplicated_nodes);
-    obs::counter_add("cover.covered_instances", result.covered_instances);
-  }
+  CutProvider provider(drv, options, *npn);
+  drv.label(provider);
+  if (options.rounds > 1) run_area_rounds(drv, provider, options);
+  drv.cover();
+  return drv.finish();
+}
 
-  if (choices) {
-    result.choice_classes = pricing->num_classes();
-    result.choice_variants = pricing->num_variants();
-    result.choice_wins = pricing->num_wins();
-    obs::counter_add("choices.classes", result.choice_classes);
-    obs::counter_add("choices.variants", result.choice_variants);
-    obs::counter_add("choices.wins", result.choice_wins);
-  }
+}  // namespace
 
-  result.cpu_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (options.profile) {
-    if (own_session) obs::stop();
-    result.profile = obs::collect();
-  }
-  return result;
+MapResult cut_map(const Network& subject, const GateLibrary& lib,
+                  const CutMapOptions& options) {
+  DAGMAP_ASSERT(options.cut_size >= 2 && options.cut_size <= kNpnMaxVars);
+  DAGMAP_ASSERT(options.cut_count >= 1);
+  // Load-aware rounds map against re-priced library copies.  The NPN
+  // index holds Gate pointers into the *original* library, so re-priced
+  // rounds rebuild it (gate functions are unchanged and delays do not
+  // enter NPN canonization — the rebuilt index is identical).
+  return run_mapping(lib, options, [&](const GateLibrary& round_lib) {
+    return cut_map_once(subject, round_lib, options,
+                        &round_lib == &lib ? options.npn_index : nullptr);
+  });
 }
 
 }  // namespace dagmap

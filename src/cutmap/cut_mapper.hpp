@@ -17,29 +17,34 @@
 // LutMap-style area-recovery iterations: required times are seeded at
 // `optimal_delay * delay_factor` and relaxed backward, and each needed
 // node re-selects the candidate of minimum area flow among those meeting
-// its required time — the candidate space is the round-0 priority cuts,
-// so labels never change and the delay bound survives every round.
+// its required time — the candidate space is the stored round-0 priority
+// cuts, so labels never change and the delay bound survives every round.
 // Round 1 amortizes leaf area over subject fanout counts; later rounds
-// use the previous round's cover reference counts (LutMap's
-// `recycle_cuts` reuses the stored round-0 cut sets; turning it off
-// recomputes them from the same frozen ranking inputs, bit-identically —
-// a memory/time knob, never a result knob).
+// use the previous round's cover reference counts.
 //
-// Scheduling, partitioned pipeline, determinism and the mark/emit cover
-// split are shared with `dag_map`: results are bit-identical at any
-// thread count, with or without partitioning, and with recycling on or
-// off.
+// `cut_map` is the cuts backend of the shared labeling-and-cover driver
+// (core/map_driver.hpp): it supplies the candidate union, the priority
+// cuts (with the class-cut merge under choices) and the area rounds; the
+// schedule, the selection rule, the choice hook, the cover and the
+// load-aware rounds are the driver's, so results are bit-identical at
+// any thread count and with or without partitioning, exactly as for
+// `dag_map`.
 #pragma once
 
 #include "boolmatch/npn_index.hpp"
-#include "core/dag_mapper.hpp"  // MapResult, PartitionMode
+#include "core/map_options.hpp"
 #include "library/gate_library.hpp"
 #include "netlist/network.hpp"
 
 namespace dagmap {
 
-/// Options for the priority-cut mapper (`dagmap_cli --backend=cuts`).
-struct CutMapOptions {
+/// Options for the priority-cut mapper (`dagmap_cli --backend=cuts`): the
+/// shared MapOptions — `match_class` selects the structural half of the
+/// candidate union — plus the cut and area-round knobs.  Under active
+/// `choices`, a class anchor's stored cuts become the merged priority
+/// cuts of every class member at fold time, so readers see every
+/// variant's cuts.
+struct CutMapOptions : MapOptions {
   /// Maximum cut leaves (2..4; bounded by the NPN machinery).
   unsigned cut_size = 4;
   /// Priority cuts kept per node (trivial cut excluded), abc-zz LutMap's
@@ -52,45 +57,9 @@ struct CutMapOptions {
   /// Required-time slack for the area rounds, as a factor of the optimal
   /// delay (LutMap's `delay_factor`; clamped from below to 1.0).
   double delay_factor = 1.0;
-  /// Keep the round-0 cut sets in memory across area rounds (off
-  /// recomputes them per round from the same frozen ranking inputs —
-  /// bit-identical results, lower peak memory, more time).
-  bool recycle_cuts = true;
-  /// Match class for the structural half of the candidate union.
-  MatchClass match_class = MatchClass::Standard;
-  double epsilon = 1e-9;
-  /// Worker threads (0 = all hardware threads); bit-identical results at
-  /// any value.
-  unsigned num_threads = 1;
-  bool use_signature_index = true;
-  /// Record per-phase timings/counters into `MapResult::profile`.
-  bool profile = false;
-  /// Partitioned-pipeline selection (see core/dag_mapper.hpp).
-  PartitionMode partition_mode = PartitionMode::Auto;
-  std::uint32_t partition_window = 1024;
-  std::size_t partition_auto_threshold = 200000;
-  /// Library-side structural pre-index to reuse (serve mode / compiled
-  /// libraries); null builds one per call.
-  const PatternIndex* pattern_index = nullptr;
   /// NPN library index to reuse (serve mode: npn_index_from_compiled);
   /// null builds one per call.  Bit-identical either way.
   const NpnLibraryIndex* npn_index = nullptr;
-  /// Iterated load-aware mapping (dagmap/load_rounds.hpp), same contract
-  /// as DagMapOptions::load_rounds: N re-pricing rounds under
-  /// `load_model`, best measured round kept — never worse than the
-  /// load-oblivious mapping under the same model.
-  unsigned load_rounds = 0;
-  LoadModel load_model;
-  /// Choice annotation of the subject, same contract as
-  /// `DagMapOptions::choices`: non-null and active prices every
-  /// candidate leaf per choice class through the shared `ChoicePricing`
-  /// hook, merges the class members' priority cuts into the anchor's
-  /// set at fold time (so readers see every variant's cuts), and
-  /// rewrites selections onto the class-best variants.
-  /// `recycle_cuts` is forced on while choices are active (recomputing
-  /// cut sets would drop the merged classes).  Null reproduces the
-  /// unannotated flow bit-identically.
-  const ChoiceClasses* choices = nullptr;
 };
 
 /// Maps `subject` (a NAND2/INV subject graph) onto `lib` with the

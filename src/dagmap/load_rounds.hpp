@@ -25,16 +25,16 @@
 // the previous round, so the whole flow is bit-identical at any thread
 // count (the mapper's own guarantee carries through unchanged).
 //
-// Both backends run through here: dag_map on DagMapOptions::load_rounds
-// and cut_map on CutMapOptions::load_rounds hand this driver a "map
-// once against this library" callback.
+// Both backends run through here: the shared mapping driver
+// (core/map_driver.hpp `run_mapping`) hands this round loop a "map once
+// against this library" callback whenever MapOptions::load_rounds > 0.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "core/dag_mapper.hpp"
+#include "core/map_options.hpp"
 #include "fanout/load_timing.hpp"
 #include "library/gate_library.hpp"
 #include "mapnet/mapped_netlist.hpp"

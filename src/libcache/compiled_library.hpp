@@ -102,7 +102,7 @@ struct CompiledLibrary {
   std::vector<GenlibGate> gates;
   GateLibrary library;
   /// Library-side signature pre-index, shared by every Matcher built
-  /// against this library (pass as DagMapOptions::pattern_index).
+  /// against this library (pass as MapOptions::pattern_index).
   PatternIndex index;
   /// npn_class_of[i] = class id of library gate i (kNoNpnClass when the
   /// gate has more than 6 inputs or is constant).

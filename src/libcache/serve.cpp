@@ -182,19 +182,21 @@ std::string handle_request(const Slot& slot) {
     subject = tech_decompose(circuit);
   }
 
+  MapOptions mopt;
+  mopt.match_class = req.match_class;
+  mopt.num_threads = 1;
+  mopt.profile = req.profile;
+  mopt.load_rounds = req.load_rounds;
+  mopt.choices = classes;
+  mopt.pattern_index = &slot.lib->index;
   MapResult result;
   if (req.cut_backend) {
     CutMapOptions copt;
-    copt.match_class = req.match_class;
+    static_cast<MapOptions&>(copt) = mopt;
     copt.cut_size = req.cut_size;
     copt.cut_count = req.cut_count;
     copt.rounds = req.rounds;
     copt.delay_factor = req.delay_factor;
-    copt.num_threads = 1;
-    copt.profile = req.profile;
-    copt.load_rounds = req.load_rounds;
-    copt.choices = classes;
-    copt.pattern_index = &slot.lib->index;
     // Per-request index build, seeded by the compiled bundle's stored
     // NPN classes (cheap: early-exiting transform search per gate), so
     // concurrent batch workers never share mutable state.
@@ -202,15 +204,10 @@ std::string handle_request(const Slot& slot) {
     copt.npn_index = &npn;
     result = cut_map(subject, slot.lib->library, copt);
   } else {
-    DagMapOptions mopt;
-    mopt.match_class = req.match_class;
-    mopt.area_recovery = req.area_recovery;
-    mopt.num_threads = 1;
-    mopt.profile = req.profile;
-    mopt.load_rounds = req.load_rounds;
-    mopt.choices = classes;
-    mopt.pattern_index = &slot.lib->index;
-    result = dag_map(subject, slot.lib->library, mopt);
+    DagMapOptions dopt;
+    static_cast<MapOptions&>(dopt) = mopt;
+    dopt.area_recovery = req.area_recovery;
+    result = dag_map(subject, slot.lib->library, dopt);
   }
 
   bool verified = false;

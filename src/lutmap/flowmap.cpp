@@ -1,6 +1,6 @@
 #include "lutmap/flowmap.hpp"
 
-#include "lutmap/cuts.hpp"
+#include "cutmap/cuts.hpp"
 
 #include <algorithm>
 #include <unordered_map>

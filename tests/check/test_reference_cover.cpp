@@ -69,7 +69,7 @@ TEST_P(OracleAgreement, FastLabelsEqualOracleLabels) {
     Network sg = tech_decompose(make_random_dag(6, 25, 3, seed * 7));
     GateLibrary lib =
         seed % 3 == 0 ? make_lib2_library() : make_random_library(seed, 9, 4);
-    MapResult fast = dag_map(sg, lib, {.match_class = GetParam()});
+    MapResult fast = dag_map(sg, lib, {{.match_class = GetParam()}});
     ASSERT_EQ(fast.truncations, 0u);
     ReferenceLabels ref = reference_labels(sg, lib, GetParam());
     for (NodeId n = 0; n < sg.size(); ++n)

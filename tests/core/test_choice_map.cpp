@@ -138,7 +138,7 @@ TEST(ChoiceMap, NeverWorseThanChoicesOffOnBothBackends) {
     ChoiceDecomposition c = tech_decompose_choices(b.network);
     c.validate();
     MapResult base = dag_map(c.subject, lib);
-    MapResult on = dag_map(c.subject, lib, {.choices = &c.classes});
+    MapResult on = dag_map(c.subject, lib, {{.choices = &c.classes}});
     // Guaranteed: per-class pricing only ever lowers a leaf price.
     EXPECT_LE(on.optimal_delay, base.optimal_delay + kEps) << b.name;
 
@@ -156,7 +156,7 @@ TEST(ChoiceMap, ResultIsEquivalentToSourceOnBothBackends) {
   for (auto& b : make_small_suite()) {
     ChoiceDecomposition c = tech_decompose_choices(b.network);
     c.validate();
-    MapResult r = dag_map(c.subject, lib, {.choices = &c.classes});
+    MapResult r = dag_map(c.subject, lib, {{.choices = &c.classes}});
     r.netlist.check();
     EXPECT_TRUE(check_equivalence(b.network, r.netlist.to_network()).equivalent)
         << b.name << " structural";
@@ -179,7 +179,7 @@ TEST(ChoiceMap, MappedDelayMatchesReportedOptimum) {
   GateLibrary lib = make_lib2_library();
   ChoiceDecomposition c = tech_decompose_choices(make_alu(4));
   c.validate();
-  MapResult r = dag_map(c.subject, lib, {.choices = &c.classes});
+  MapResult r = dag_map(c.subject, lib, {{.choices = &c.classes}});
   EXPECT_NEAR(circuit_delay(r.netlist), r.optimal_delay, kEps);
 }
 
@@ -187,9 +187,11 @@ TEST(ChoiceMap, AreaRecoveryAndRoundsPreserveTheChoiceDelay) {
   GateLibrary lib = make_lib2_library();
   ChoiceDecomposition c = tech_decompose_choices(make_alu(4));
   c.validate();
-  MapResult fast = dag_map(c.subject, lib, {.choices = &c.classes});
-  MapResult rec = dag_map(c.subject, lib,
-                          {.area_recovery = true, .choices = &c.classes});
+  MapResult fast = dag_map(c.subject, lib, {{.choices = &c.classes}});
+  DagMapOptions recover;
+  recover.area_recovery = true;
+  recover.choices = &c.classes;
+  MapResult rec = dag_map(c.subject, lib, recover);
   EXPECT_NEAR(rec.optimal_delay, fast.optimal_delay, kEps);
   EXPECT_NEAR(circuit_delay(rec.netlist), fast.optimal_delay, kEps);
   EXPECT_TRUE(
@@ -215,7 +217,7 @@ TEST(ChoiceMap, LatchDInputsMayReferenceVariants) {
   Network src = make_sequential_pipeline(3, 6, 13);
   ChoiceDecomposition c = tech_decompose_choices(src);
   c.validate();
-  MapResult r = dag_map(c.subject, lib, {.choices = &c.classes});
+  MapResult r = dag_map(c.subject, lib, {{.choices = &c.classes}});
   r.netlist.check();
   EXPECT_EQ(r.netlist.latches().size(), src.num_latches());
   EXPECT_TRUE(check_equivalence(src, r.netlist.to_network()).equivalent);
@@ -240,7 +242,7 @@ TEST(ChoiceMap, DeadVariantsAreNotEmitted) {
   Network plain = tech_decompose(src);
   ChoiceDecomposition c = tech_decompose_choices(src);
   c.validate();
-  MapResult on = dag_map(c.subject, lib, {.choices = &c.classes});
+  MapResult on = dag_map(c.subject, lib, {{.choices = &c.classes}});
   on.netlist.check();
   MapResult single = dag_map(plain, lib);
   EXPECT_LE(on.netlist.num_gates(), 2 * single.netlist.num_gates());
@@ -259,7 +261,7 @@ TEST(ChoiceMap, ChoicesCanBeatSingleShapes) {
 
   ChoiceDecomposition c = tech_decompose_choices(src);
   c.validate();
-  MapResult rx = dag_map(c.subject, lib, {.choices = &c.classes});
+  MapResult rx = dag_map(c.subject, lib, {{.choices = &c.classes}});
 
   TechDecompOptions bal, chain;
   chain.shape = DecompShape::Chain;
@@ -348,7 +350,7 @@ TEST(ChoiceMap, InertAnnotationIsBitIdenticalToNull) {
     ASSERT_FALSE(inert.active());
 
     MapResult null_run = dag_map(subject, lib);
-    MapResult inert_run = dag_map(subject, lib, {.choices = &inert});
+    MapResult inert_run = dag_map(subject, lib, {{.choices = &inert}});
     EXPECT_EQ(inert_run.label, null_run.label);
     EXPECT_EQ(inert_run.optimal_delay, null_run.optimal_delay);
     EXPECT_EQ(write_mapped_blif(inert_run.netlist),

@@ -1,7 +1,7 @@
 // The priority-cut Boolean mapping engine: correctness (simulation
 // equivalence, delay consistency), the delay-dominance guarantee against
-// the structural backend, area-recovery rounds, and the invariance knobs
-// (recycled vs recomputed cuts, shared NPN index).
+// the structural backend, area-recovery rounds, explicit polarity
+// inverters, and the shared-NPN-index invariance.
 #include "cutmap/cut_mapper.hpp"
 
 #include <gtest/gtest.h>
@@ -109,17 +109,25 @@ TEST(CutMap, AreaRoundsKeepTheDelayBound) {
   EXPECT_TRUE(check_equivalence(sg, rs.netlist.to_network()).equivalent);
 }
 
-TEST(CutMap, RecycledAndRecomputedCutsAreBitIdentical) {
-  // recycle_cuts is a memory/time knob, never a result knob: the area
-  // rounds recompute cut sets from the frozen phase-1 ranking inputs.
-  GateLibrary lib = make_lib2_library();
-  Network sg = tech_decompose(make_comparator(8));
-  CutMapOptions on;
-  on.rounds = 3;
-  on.recycle_cuts = true;
-  CutMapOptions off = on;
-  off.recycle_cuts = false;
-  expect_same_result(cut_map(sg, lib, on), cut_map(sg, lib, off));
+TEST(CutMap, UsesInvertersForPolarity) {
+  // OR4 is NPN-equivalent to and4 with every pin and the output negated,
+  // so the NPN candidate needs materialized input/output inverters and
+  // competes with pure nand2 trees.  Whichever wins, inverters appear,
+  // the cover is equivalent and its delay is the label.
+  GateLibrary lib = GateLibrary::from_genlib_text(
+      "GATE inv 1 O=!a;\n PIN a INV 1 999 1.0 0 1.0 0\n"
+      "GATE nand2 2 O=!(a*b);\n PIN * INV 1 999 1.2 0 1.2 0\n"
+      "GATE and4 5 O=a*b*c*d;\n PIN * NONINV 1 999 1.9 0 1.9 0\n");
+  Network src("or4");
+  std::vector<NodeId> ins;
+  for (int i = 0; i < 4; ++i)
+    ins.push_back(src.add_input("i" + std::to_string(i)));
+  src.add_output(src.add_or(std::span<const NodeId>(ins)), "o");
+  Network sg = tech_decompose(src);
+  MapResult r = cut_map(sg, lib);
+  EXPECT_TRUE(check_equivalence(sg, r.netlist.to_network()).equivalent);
+  EXPECT_EQ(r.netlist.gate_histogram().count("inv"), 1u);
+  EXPECT_NEAR(circuit_delay(r.netlist), r.optimal_delay, 1e-9);
 }
 
 TEST(CutMap, SharedNpnIndexIsBitIdentical) {

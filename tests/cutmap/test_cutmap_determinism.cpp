@@ -1,8 +1,8 @@
 // Priority-cut backend determinism: bit-identical results at 1/2/8
-// worker threads, with and without the partitioned pipeline, and with
-// cut recycling on or off.  This binary carries the `tsan` CTest label;
-// build with -DDAGMAP_SANITIZE=thread to sweep the parallel cut
-// enumeration and labeling under ThreadSanitizer.
+// worker threads, with and without the partitioned pipeline, and through
+// the area rounds.  This binary carries the `tsan` CTest label; build
+// with -DDAGMAP_SANITIZE=thread to sweep the parallel cut enumeration
+// and labeling under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include "cutmap/cut_mapper.hpp"
@@ -61,9 +61,6 @@ TEST(CutMapDeterminism, WithAreaRoundsAndRecycling) {
   rounds.rounds = 3;
   rounds.delay_factor = 1.2;
   sweep(subject, lib, rounds);
-  CutMapOptions norecycle = rounds;
-  norecycle.recycle_cuts = false;
-  sweep(subject, lib, norecycle);
 }
 
 TEST(CutMapDeterminism, WithRichLibraryAndTightCutBudget) {

@@ -74,7 +74,7 @@ TEST_P(FullFlow, OptionsPreserveCorrectness) {
 
   ChoiceDecomposition c = tech_decompose_choices(b.network);
   c.validate();
-  MapResult r3 = dag_map(c.subject, lib, {.choices = &c.classes});
+  MapResult r3 = dag_map(c.subject, lib, {{.choices = &c.classes}});
   EXPECT_TRUE(check_equivalence(b.network, r3.netlist.to_network()).equivalent);
   // Guaranteed dominance: same subject, choices off — the per-class
   // pricing only ever lowers a leaf price, never raises one.

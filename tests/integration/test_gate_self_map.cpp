@@ -5,7 +5,6 @@
 // can never be used where it should be.
 #include <gtest/gtest.h>
 
-#include "boolmatch/bool_mapper.hpp"
 #include "dagmap/dagmap.hpp"
 
 namespace dagmap {
@@ -55,8 +54,8 @@ TEST(GateSelfMap, TreeMapperLib2) {
   }
 }
 
-// Boolean matching is function-based: self-mapping holds for every
-// <=4-input gate regardless of decomposition shape.
+// Boolean matching is function-based: cut_map's NPN cut candidates
+// self-map every <=4-input gate regardless of decomposition shape.
 TEST(GateSelfMap, BoolMatchShapeIndependent) {
   GateLibrary lib = make_lib2_library();
   for (const Gate& g : lib.gates()) {
@@ -65,7 +64,7 @@ TEST(GateSelfMap, BoolMatchShapeIndependent) {
       TechDecompOptions opt;
       opt.shape = shape;
       Network sg = tech_decompose(gate_as_network(g), opt);
-      MapResult r = bool_map(sg, lib);
+      MapResult r = cut_map(sg, lib);
       EXPECT_LE(r.optimal_delay, g.max_pin_delay() + 1e-9)
           << g.name << " shape " << static_cast<int>(shape);
     }

@@ -450,8 +450,8 @@ int main(int argc, char** argv) try {
   std::printf("library %s: %zu gates\n", lib.name().c_str(), lib.size());
   if (!lib.is_complete_for_mapping()) usage("library lacks INV or NAND2");
 
-  DagMapOptions mopt;
-  mopt.area_recovery = opt.area_recovery;
+  // Knobs shared by both backends; each backend adds its own below.
+  MapOptions mopt;
   mopt.num_threads = opt.threads;
   mopt.profile = opt.profile;
   if (opt.partition >= 0)
@@ -465,8 +465,8 @@ int main(int argc, char** argv) try {
 
   MapResult result;
   Network subject;
-  // Kept alive through the mapping call: DagMapOptions::choices /
-  // CutMapOptions::choices borrow `choice->classes`.
+  // Kept alive through the mapping call: MapOptions::choices borrows
+  // `choice->classes`.
   std::optional<ChoiceDecomposition> choice;
   if (opt.choices) {
     obs::Scope scope("decompose.choices");
@@ -481,21 +481,18 @@ int main(int argc, char** argv) try {
   }
   if (opt.mapper == "dag" && opt.backend == "cuts") {
     CutMapOptions copt;
+    static_cast<MapOptions&>(copt) = mopt;
     copt.cut_size = opt.cut_size;
     copt.cut_count = opt.cut_count;
     copt.rounds = opt.rounds;
     copt.delay_factor = opt.delay_factor;
-    copt.match_class = mopt.match_class;
-    copt.num_threads = opt.threads;
-    copt.profile = opt.profile;
-    copt.partition_mode = mopt.partition_mode;
-    copt.partition_window = mopt.partition_window;
-    copt.pattern_index = mopt.pattern_index;
-    copt.load_rounds = opt.load_rounds;
-    copt.choices = mopt.choices;
     result = cut_map(subject, lib, copt);
-  } else if (opt.mapper == "dag") result = dag_map(subject, lib, mopt);
-  else if (opt.mapper == "tree") result = tree_map(subject, lib);
+  } else if (opt.mapper == "dag") {
+    DagMapOptions dopt;
+    static_cast<MapOptions&>(dopt) = mopt;
+    dopt.area_recovery = opt.area_recovery;
+    result = dag_map(subject, lib, dopt);
+  } else if (opt.mapper == "tree") result = tree_map(subject, lib);
   else usage("bad --mapper value");
   std::printf("subject graph: %zu internal nodes\n", subject.num_internal());
   if (opt.choices)
