@@ -39,6 +39,7 @@
 #include "io/genlib.hpp"
 #include "io/liberty.hpp"
 #include "libcache/compiled_library.hpp"
+#include "libcache/map_request.hpp"
 #include "libcache/registry.hpp"
 #include "libcache/serve.hpp"
 #include "library/gate_library.hpp"

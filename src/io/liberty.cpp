@@ -4,9 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "io/number.hpp"
@@ -768,14 +766,6 @@ LibertyLibrary parse_liberty(const std::string& text) {
     throw ParseError("liberty: no usable combinational cells in library `" +
                      lib.name + "`");
   return lib;
-}
-
-LibertyLibrary read_liberty_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("liberty: cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_liberty(ss.str());
 }
 
 }  // namespace dagmap

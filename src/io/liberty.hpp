@@ -64,7 +64,4 @@ bool looks_like_liberty(std::string_view text);
 /// no usable combinational cell survives.
 LibertyLibrary parse_liberty(const std::string& text);
 
-/// Reads and parses a Liberty file from disk.
-LibertyLibrary read_liberty_file(const std::string& path);
-
 }  // namespace dagmap

@@ -1,10 +1,9 @@
 #include "io/number.hpp"
 
+#include <charconv>
 #include <version>
 
-#if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-#include <charconv>
-#else
+#if !(defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L)
 #include <locale>
 #include <sstream>
 #include <string>
@@ -34,6 +33,16 @@ std::optional<double> parse_double_strict(std::string_view token) {
   if (!in || in.peek() != std::char_traits<char>::eof()) return std::nullopt;
   return value;
 #endif
+}
+
+std::optional<unsigned> parse_unsigned_strict(std::string_view token) {
+  // Unlike std::stoul, from_chars never skips whitespace and rejects a
+  // '-' for unsigned types, so "-1" cannot wrap to UINT_MAX.
+  unsigned value = 0;
+  const char* last = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
 }
 
 }  // namespace dagmap

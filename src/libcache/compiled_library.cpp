@@ -10,6 +10,7 @@
 #include "io/liberty.hpp"
 #include "libcache/binio.hpp"
 #include "netlist/assert.hpp"
+#include "obs/obs.hpp"
 
 namespace dagmap {
 
@@ -52,6 +53,7 @@ std::uint64_t library_content_hash(std::string_view genlib_text,
 CompiledLibrary compile_library(const std::string& genlib_text,
                                 const LibCompileOptions& options,
                                 std::string name) {
+  obs::Scope scope("library.compile");
   CompiledLibrary c;
   c.name = std::move(name);
   c.options = options;

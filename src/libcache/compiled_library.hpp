@@ -116,6 +116,7 @@ struct CompiledLibrary {
 /// supergate augmentation -> GateLibrary build -> pattern index -> NPN
 /// classes.  Pure function of (text, key options) — bit-identical at
 /// any num_threads.  Throws ParseError/ContractError on bad input text.
+/// Timed as the obs phase `library.compile`.
 CompiledLibrary compile_library(const std::string& genlib_text,
                                 const LibCompileOptions& options = {},
                                 std::string name = "library");

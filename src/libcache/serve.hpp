@@ -5,33 +5,33 @@
 // response per line):
 //
 //   request:  {"circuit": "<BLIF text>",
-//              "library": "<genlib path>",          // optional w/ default
-//              "liberty": "<liberty path>",         // .lib spelling of the
-//                                                   // same member (either,
-//                                                   // not both; the
-//                                                   // registry sniffs the
-//                                                   // format anyway)
-//              "options": {"supergates": 0,         // compile: depth
-//                          "match": "standard",     // map: standard|extended
-//                          "area_recovery": false,
-//                          "backend": "structural", // or "cuts":
-//                          "cut_size": 4,           //   priority-cut
-//                          "cut_count": 8,          //   engine knobs
-//                          "rounds": 1,             //   (cutmap/)
-//                          "delay_factor": 1.0,
-//                          "load_rounds": 0,        // load-aware rounds
-//                                                   // (dagmap/load_rounds)
-//                          "verify": false,         // equivalence-check
-//                          "profile": false}}       // per-request obs
+//              "library": "<genlib path>",    // optional w/ default; or
+//              "liberty": "<liberty path>",   // (not both: the registry
+//                                             // sniffs the format anyway)
+//              "options": {...}}              // optional, see below
 //   response: {"ok": true, "id": N, "delay": ..., "area": ...,
 //              "gates": N, "subject_nodes": N,
 //              "structural_hash": "0x...", "blif": "<mapped BLIF>",
 //              "library": "<name>", "cache": "memory|artifact|compiled",
-//              "backend": "cuts",                   // cut-backend requests
+//              "backend": "cuts",             // cut-backend requests
+//              "choice_classes": N, "choice_variants": N,
+//              "choice_wins": N,              // when choices are on
 //              "loaded_delay": ..., "loaded_delay_round0": ...,
-//              "load_round": N,                     // when load_rounds > 0
-//              "profile": "<summary>"}              // when requested
+//              "load_round": N,               // when load_rounds > 0
+//              "verified": true,              // when verify passed
+//              "profile": "<summary>"}        // when requested
 //   error:    {"ok": false, "id": N, "error": "<message>"}
+//
+// "options" is a MapRequest (libcache/map_request.hpp), which
+// `dagmap_cli` parses from argv too: one set of bounds, one mapping
+// path.  Members (default, bound): "supergates" (0, 0..8), "match"
+// ("standard" | "extended"), "backend" ("structural" | "cuts"), the cut
+// knobs "cut_size" (4, 2..4), "cut_count" (8, 1..64), "rounds" (1,
+// 1..16) and "delay_factor" (1.0, 1..100), "area_recovery" (false;
+// structural only), "load_rounds" (0, 0..16), "choices" (false; true
+// or a generator list such as "balanced,chain,andor"), "verify" (false)
+// and "profile" (false).  Unsigned members must be integral and
+// non-negative; a member of the wrong JSON type keeps its default.
 //
 // Responses are emitted in request order.  Requests are mapped
 // concurrently: lines already buffered on the input are gathered into a

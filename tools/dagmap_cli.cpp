@@ -2,89 +2,27 @@
 //
 // Usage:
 //   dagmap_cli [options] <circuit.blif>
+//   dagmap_cli --serve [options]          (JSONL requests on stdin; see
+//                                          src/libcache/serve.hpp)
 //
-// Options:
-//   --library <file.genlib>   gate library (default: built-in lib2-like)
-//   --liberty <file.lib>      Liberty-subset gate library instead of
-//                             GENLIB (cells/pins/function/capacitance,
-//                             linear or NLDM timing collapsed to
-//                             block+slope; see io/liberty.hpp)
-//   --lib44 <1|2|3>           use a built-in 44-family library instead
-//   --mapper <dag|tree>       covering algorithm    (default: dag)
-//   --choices[=gens]          decompose with choice classes (Lehman–
-//                             Watanabe): every logic node is lowered
-//                             through several structural variants and
-//                             the mapper picks per class.  `gens` is a
-//                             comma list of balanced,chain,andor (or
-//                             all, the default).  Works with both
-//                             backends; delay is never worse than the
-//                             single-structure subject.  (--mapper
-//                             choice is the legacy spelling of
-//                             --choices with the structural backend.)
-//   --backend <structural|cuts> match/candidate engine (default:
-//                             structural).  "cuts" maps with the
-//                             priority-cut Boolean engine (src/cutmap/):
-//                             bounded priority cuts, NPN matching with
-//                             explicit inverters, delay never worse than
-//                             the structural backend on the same inputs
-//   --cut-size <2..4>         cut leaves for --backend=cuts (default 4)
-//   --cut-count <n>           priority cuts kept per node (default 8)
-//   --rounds <n>              mapping rounds: 1 = pure delay-optimal,
-//                             extra rounds recover area under required
-//                             times (default 1)
-//   --delay-factor <x>        required-time slack factor for the area
-//                             rounds, >= 1.0 (default 1.0)
-//   --load-rounds <n>         iterated load-aware mapping: measure the
-//                             mapping under the linear load model,
-//                             re-price the library pin delays with the
-//                             measured loads, re-map, keep the best
-//                             measured round (never worse than round 0;
-//                             works with both backends; default 0 = the
-//                             paper's load-oblivious flow)
-//   --match <standard|extended>                     (default: standard)
-//   --supergates[=depth]      augment the library with generated
-//                             supergates before mapping (depth default 2)
-//   --threads <n>             labeling worker threads (0 = all cores,
-//                             default 1; output is identical either way)
-//   --partition[=window]      force the partitioned mapping pipeline
-//                             (fanout-free windows, default size 1024);
-//                             auto-enabled above 200k subject nodes
-//   --no-partition            force the monolithic schedule
-//   --profile[=trace.json]    per-phase timing/counter summary; with a
-//                             path, also write Chrome trace-event JSON
-//                             (chrome://tracing) with per-thread tracks
-//   --area-recovery           enable required-time area recovery
-//   --buffer <branch>         post-mapping balanced buffer trees (0 = off)
-//   --lt-buffer               post-mapping Touati LT-tree buffering
-//   --size                    post-mapping gate sizing (x1/x2/x4)
-//   --stats                   print duplication/fanout statistics
-//   --retime                  min-period retiming for sequential circuits
-//   --lut <k>                 FlowMap LUT mapping instead of library gates
-//   --out <file.blif|file.v>  write the mapped netlist
-//   --verify                  simulation equivalence check (default on)
-//   --no-verify               skip verification
-//   --save-lib <file.dmlc>    compile the selected library (with
-//                             --supergates options) to a cache artifact;
-//                             without a circuit, exits after saving
-//   --load-lib <file.dmlc>    map with a compiled-library artifact; with
-//                             --library also given, the artifact is
-//                             validated against the genlib source and a
-//                             stale artifact is an error
-//   --serve                   persistent batched serve mode: map JSONL
-//                             requests from stdin (see
-//                             src/libcache/serve.hpp for the protocol)
+// tools/README.md documents every option.  The mapping options form one
+// MapRequest (libcache/map_request.hpp), the request serve mode parses
+// from JSON: both front ends share its bounds and its mapping path.
+// Values are strict: a malformed or out-of-range one is a one-line
+// `error: ...` and exit status 2.  `--flag value` may also be spelled
+// `--flag=value`.
 //
 // Prints a one-screen report: subject statistics, delay/area, gate
 // histogram, and the equivalence verdict.  Exits nonzero on any failure.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "decomp/choices.hpp"
 #include "obs/obs.hpp"
 #include "core/stats.hpp"
 #include "dagmap/dagmap.hpp"
@@ -93,35 +31,20 @@
 #include "fanout/sizing.hpp"
 #include "io/number.hpp"
 #include "mapnet/write.hpp"
-#include "supergate/supergate.hpp"
 
 using namespace dagmap;
 
 namespace {
 
 struct CliOptions {
+  /// Everything that selects the mapping.  `verify` defaults to on here.
+  MapRequest req;
   std::string circuit_path;
-  std::string library_path;
-  std::string liberty_path;
-  unsigned load_rounds = 0;
-  int lib44 = 0;
+  std::string library_path;  ///< --library or --liberty source file
+  unsigned lib44 = 0;
   std::string mapper = "dag";
-  std::string backend = "structural";
-  bool choices = false;
-  unsigned choice_gens = kChoiceGenAll;
-  unsigned cut_size = 4;
-  unsigned cut_count = 8;
-  unsigned rounds = 1;
-  double delay_factor = 1.0;
-  std::string match = "standard";
-  unsigned supergate_depth = 0;  ///< 0 = off; --supergates defaults to 2
-  bool supergates_set = false;   ///< --supergates given explicitly
-  unsigned threads = 1;
-  int partition = -1;  ///< -1 auto, 0 off, 1 on
-  unsigned partition_window = 0;  ///< 0 = the DagMapOptions default
-  bool profile = false;
-  std::string trace_path;  ///< --profile=trace.json
-  bool area_recovery = false;
+  bool supergates_set = false;  ///< --supergates given explicitly
+  std::string trace_path;       ///< --profile=trace.json
   unsigned buffer_branch = 0;
   bool lt_buffer = false;
   bool size = false;
@@ -129,159 +52,228 @@ struct CliOptions {
   bool retime = false;
   unsigned lut_k = 0;
   std::string out_path;
-  bool verify = true;
   std::string save_lib_path;
   std::string load_lib_path;
   bool serve = false;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "error: %s\n", msg);
+[[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: dagmap_cli [--library F.genlib | --liberty F.lib | "
-               "--lib44 N] "
-               "[--mapper dag|tree] [--choices[=gens]] "
-               "[--backend structural|cuts] "
-               "[--cut-size N] [--cut-count N] [--rounds N] "
-               "[--delay-factor X] [--load-rounds N] "
-               "[--match standard|extended] "
-               "[--supergates[=D]] "
-               "[--threads N] [--partition[=W] | --no-partition] "
-               "[--profile[=trace.json]] [--area-recovery] "
-               "[--buffer N] [--retime] "
-               "[--lut K] [--out F] [--no-verify] "
-               "[--save-lib F.dmlc] [--load-lib F.dmlc] [--serve] "
-               "circuit.blif\n");
+               "--lib44 N] [--mapper dag|tree] [--choices[=gens]]\n"
+               "  [--backend structural|cuts] [--cut-size N] [--cut-count N] "
+               "[--rounds N] [--delay-factor X]\n"
+               "  [--load-rounds N] [--match standard|extended] "
+               "[--supergates[=D]] [--threads N]\n"
+               "  [--partition[=W] | --no-partition] [--profile[=trace.json]] "
+               "[--area-recovery]\n"
+               "  [--buffer N] [--retime] [--lut K] [--out F] [--no-verify] "
+               "[--save-lib F.dmlc]\n"
+               "  [--load-lib F.dmlc] [--serve] circuit.blif\n");
+  std::exit(2);
+}
+
+/// A command-line error: one line on stderr, exit status 2.
+[[noreturn]] void fail(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\n", msg.c_str());
   std::exit(2);
 }
 
 CliOptions parse_args(int argc, char** argv) {
+  if (argc < 2) usage();
   CliOptions o;
+  MapRequest& r = o.req;
+  r.verify = true;
+  unsigned library_sources = 0;
   for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&]() -> std::string {
-      if (++i >= argc) usage("missing argument value");
+    std::string flag = argv[i];
+    // "--flag=value" carries its value inline.
+    std::optional<std::string> inline_value;
+    if (std::size_t eq = flag.find('=');
+        flag.rfind("--", 0) == 0 && eq != std::string::npos) {
+      inline_value = flag.substr(eq + 1);
+      flag.resize(eq);
+    }
+    auto value = [&]() -> std::string {
+      if (inline_value) return *inline_value;
+      if (++i >= argc) fail("missing " + flag + " value");
       return argv[i];
     };
-    // Double-valued flags parse locale-independently (io/number.hpp):
-    // std::stod honors LC_NUMERIC and silently truncates "1.5" to 1.0
-    // under a comma-decimal locale.
-    auto next_double = [&](const char* flag) -> double {
-      std::string v = next();
-      std::optional<double> d = parse_double_strict(v);
-      if (!d)
-        usage((std::string("bad ") + flag + " value `" + v + "`").c_str());
-      return *d;
+    // The value through a strict parser: numbers go through io/number.hpp
+    // (std::stoul wraps "-1" to UINT_MAX; std::stod honors LC_NUMERIC).
+    auto parsed = [&](auto parse, const std::string& want = "") {
+      std::string v = value();
+      auto x = parse(v);
+      if (!x) fail("bad " + flag + " value `" + v + "`" + want);
+      return *x;
     };
-    if (a == "--library") o.library_path = next();
-    else if (a == "--liberty") o.liberty_path = next();
-    else if (a.rfind("--liberty=", 0) == 0)
-      o.liberty_path = a.substr(std::strlen("--liberty="));
-    else if (a == "--load-rounds") o.load_rounds = std::stoul(next());
-    else if (a.rfind("--load-rounds=", 0) == 0)
-      o.load_rounds = std::stoul(a.substr(std::strlen("--load-rounds=")));
-    else if (a == "--lib44") o.lib44 = std::stoi(next());
-    else if (a == "--mapper") o.mapper = next();
-    else if (a == "--choices") o.choices = true;
-    else if (a.rfind("--choices=", 0) == 0) {
-      o.choices = true;
-      std::string gens = a.substr(std::strlen("--choices="));
-      std::optional<unsigned> g = parse_choice_gens(gens);
-      if (!g)
-        usage(("bad --choices generator list `" + gens +
-               "` (want balanced,chain,andor,all)")
-                  .c_str());
-      o.choice_gens = *g;
+    auto number = [&] { return parsed(parse_unsigned_strict); };
+    // Switches, and flags whose value is optional, take no separate value.
+    auto no_value = [&] {
+      if (inline_value) fail(flag + " takes no value");
+    };
+
+    if (flag == "--library" || flag == "--liberty")
+      o.library_path = value(), ++library_sources;
+    else if (flag == "--lib44") {
+      ++library_sources;
+      if ((o.lib44 = number()) < 1 || o.lib44 > 3)
+        fail("bad --lib44 (want 1..3)");
     }
-    else if (a == "--backend") o.backend = next();
-    else if (a.rfind("--backend=", 0) == 0)
-      o.backend = a.substr(std::strlen("--backend="));
-    else if (a == "--cut-size") o.cut_size = std::stoul(next());
-    else if (a == "--cut-count") o.cut_count = std::stoul(next());
-    else if (a == "--rounds") o.rounds = std::stoul(next());
-    else if (a == "--delay-factor") o.delay_factor = next_double("--delay-factor");
-    else if (a == "--match") o.match = next();
-    else if (a == "--supergates") o.supergate_depth = 2, o.supergates_set = true;
-    else if (a.rfind("--supergates=", 0) == 0) {
-      o.supergate_depth = std::stoul(a.substr(std::strlen("--supergates=")));
+    else if (flag == "--mapper") o.mapper = value();
+    else if (flag == "--choices") {
+      r.choices = true;
+      if (inline_value)
+        r.choice_gens = parsed(parse_choice_gens,
+                               " (want balanced,chain,andor,all)");
+    }
+    else if (flag == "--backend")
+      r.backend = parsed(parse_map_backend, " (want structural or cuts)");
+    else if (flag == "--match")
+      r.match_class = parsed(parse_match_class, " (want standard or extended)");
+    else if (flag == "--cut-size") r.cut_size = number();
+    else if (flag == "--cut-count") r.cut_count = number();
+    else if (flag == "--rounds") r.rounds = number();
+    else if (flag == "--delay-factor") r.delay_factor = parsed(parse_double_strict);
+    else if (flag == "--load-rounds") r.load_rounds = number();
+    else if (flag == "--supergates") {
+      r.supergates = inline_value ? number() : 2;
       o.supergates_set = true;
     }
-    else if (a == "--threads") o.threads = std::stoul(next());
-    else if (a == "--partition") o.partition = 1;
-    else if (a.rfind("--partition=", 0) == 0) {
-      o.partition = 1;
-      o.partition_window = std::stoul(a.substr(std::strlen("--partition=")));
-      if (o.partition_window == 0) usage("zero --partition= window");
+    else if (flag == "--threads") r.threads = number();
+    else if (flag == "--partition") {
+      r.partition = PartitionMode::On;
+      if (inline_value) r.partition_window = number();
     }
-    else if (a == "--no-partition") o.partition = 0;
-    else if (a == "--profile") o.profile = true;
-    else if (a.rfind("--profile=", 0) == 0) {
-      o.profile = true;
-      o.trace_path = a.substr(std::strlen("--profile="));
-      if (o.trace_path.empty()) usage("empty --profile= path");
+    else if (flag == "--no-partition") no_value(), r.partition = PartitionMode::Off;
+    else if (flag == "--profile") {
+      r.profile = true;
+      if (inline_value && (o.trace_path = *inline_value).empty())
+        fail("empty --profile= path");
     }
-    else if (a == "--area-recovery") o.area_recovery = true;
-    else if (a == "--buffer") o.buffer_branch = std::stoul(next());
-    else if (a == "--lt-buffer") o.lt_buffer = true;
-    else if (a == "--size") o.size = true;
-    else if (a == "--stats") o.stats = true;
-    else if (a == "--retime") o.retime = true;
-    else if (a == "--lut") o.lut_k = std::stoul(next());
-    else if (a == "--out") o.out_path = next();
-    else if (a == "--verify") o.verify = true;
-    else if (a == "--no-verify") o.verify = false;
-    else if (a == "--save-lib") o.save_lib_path = next();
-    else if (a == "--load-lib") o.load_lib_path = next();
-    else if (a == "--serve") o.serve = true;
-    else if (a == "--help" || a == "-h") usage();
-    else if (!a.empty() && a[0] == '-') usage(("unknown option " + a).c_str());
-    else if (o.circuit_path.empty()) o.circuit_path = a;
-    else usage("multiple circuit files");
+    else if (flag == "--area-recovery") no_value(), r.area_recovery = true;
+    else if (flag == "--buffer") o.buffer_branch = number();
+    else if (flag == "--lt-buffer") no_value(), o.lt_buffer = true;
+    else if (flag == "--size") no_value(), o.size = true;
+    else if (flag == "--stats") no_value(), o.stats = true;
+    else if (flag == "--retime") no_value(), o.retime = true;
+    else if (flag == "--lut") {
+      if ((o.lut_k = number()) == 1 || o.lut_k > 8)
+        fail("bad --lut (want 2..8, or 0 for off)");
+    }
+    else if (flag == "--out") o.out_path = value();
+    else if (flag == "--verify") no_value(), r.verify = true;
+    else if (flag == "--no-verify") no_value(), r.verify = false;
+    else if (flag == "--save-lib") o.save_lib_path = value();
+    else if (flag == "--load-lib") o.load_lib_path = value();
+    else if (flag == "--serve") no_value(), o.serve = true;
+    else if (flag == "--help" || flag == "-h") usage();
+    else if (!flag.empty() && flag[0] == '-') fail("unknown option " + flag);
+    else if (o.circuit_path.empty()) o.circuit_path = flag;
+    else fail("multiple circuit files");
   }
-  if (o.backend != "structural" && o.backend != "cuts")
-    usage("bad --backend value (want structural or cuts)");
-  if (o.cut_size < 2 || o.cut_size > 4) usage("bad --cut-size (want 2..4)");
-  if (o.cut_count < 1) usage("bad --cut-count (want >= 1)");
-  if (o.rounds < 1) usage("bad --rounds (want >= 1)");
-  if (o.delay_factor < 1.0) usage("bad --delay-factor (want >= 1.0)");
-  if (!o.liberty_path.empty() && (!o.library_path.empty() || o.lib44 > 0))
-    usage("--liberty excludes --library and --lib44");
+  if (std::optional<MapRequestError> bad = r.validate()) {
+    std::string option = bad->option;
+    std::replace(option.begin(), option.end(), '_', '-');
+    fail("bad --" + option + " (want " + bad->want + ")");
+  }
+  if (library_sources > 1)
+    fail("give one library source: --library, --liberty or --lib44");
   if (o.mapper == "choice") {
     // Legacy spelling: the choice flow is now the default mapper with
     // the choice-annotated subject.
     o.mapper = "dag";
-    o.choices = true;
+    r.choices = true;
   }
-  if (o.load_rounds > 0 && o.mapper == "tree")
-    usage("--load-rounds applies to the dag/cuts mapping flows");
-  if (o.backend == "cuts" && o.mapper != "dag")
-    usage("--backend=cuts applies to the default --mapper dag flow");
-  if (o.choices && o.mapper != "dag")
-    usage("--choices applies to the dag/cuts mapping flows");
-  if (o.choices && o.lut_k > 0)
-    usage("--choices does not apply to the LUT flow");
+  if (o.mapper != "dag" && o.mapper != "tree")
+    fail("bad --mapper value `" + o.mapper + "` (want dag or tree)");
+  if (r.load_rounds > 0 && o.mapper == "tree")
+    fail("--load-rounds applies to the dag/cuts mapping flows");
+  if (r.backend == MapBackend::Cuts && o.mapper != "dag")
+    fail("--backend=cuts applies to the default --mapper dag flow");
+  if (r.choices && o.mapper != "dag")
+    fail("--choices applies to the dag/cuts mapping flows");
+  if (r.choices && o.lut_k > 0)
+    fail("--choices does not apply to the LUT flow");
   if (o.circuit_path.empty() && o.save_lib_path.empty() && !o.serve)
-    usage("no circuit file");
+    fail("no circuit file");
   if (o.serve && !o.circuit_path.empty())
-    usage("--serve takes circuits on stdin, not an argument");
+    fail("--serve takes circuits on stdin, not an argument");
   return o;
+}
+
+LibCompileOptions compile_options(const MapRequest& r) {
+  return {.supergate_depth = r.supergates, .num_threads = r.threads};
+}
+
+/// Source text of the selected library: the raw file bytes for either
+/// format (compile_library sniffs Liberty vs GENLIB, and the artifact
+/// content hash runs over these bytes), or a built-in library's GENLIB.
+std::string library_source_text(const CliOptions& opt) {
+  if (!opt.library_path.empty()) {
+    std::ifstream in(opt.library_path, std::ios::binary);
+    if (!in) fail("cannot read library file " + opt.library_path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+  if (opt.lib44 > 0) return write_genlib(make_44_genlib(opt.lib44));
+  return lib2_genlib_text();
+}
+
+/// The selected library as one CompiledLibrary, the bundle serve's
+/// registry hands out too: loaded from --load-lib (checked against its
+/// source when one is named), or compiled from the source text.
+CompiledLibrary build_library(const CliOptions& opt) {
+  LibCompileOptions copt = compile_options(opt.req);
+  if (!opt.load_lib_path.empty()) {
+    LibraryLoadResult loaded = load_compiled_library_file(opt.load_lib_path);
+    if (!loaded.ok)
+      throw std::runtime_error(opt.load_lib_path + ": " + loaded.error);
+    if (!opt.library_path.empty() || opt.lib44 > 0) {
+      // Without an explicit --supergates the artifact defines the
+      // generation options, so validation only asks whether the source
+      // still matches; with one, the options must match too.
+      const LibCompileOptions& want =
+          opt.supergates_set ? copt : loaded.lib.options;
+      std::string why;
+      if (!validate_compiled_library(loaded.lib, library_source_text(opt),
+                                     want, &why))
+        throw std::runtime_error("stale artifact " + opt.load_lib_path +
+                                 ": " + why + " (regenerate with --save-lib)");
+    }
+    std::printf("loaded compiled library %s: %zu gates\n",
+                loaded.lib.library.name().c_str(), loaded.lib.library.size());
+    return std::move(loaded.lib);
+  }
+  std::string name = !opt.library_path.empty() ? opt.library_path
+                     : opt.lib44 > 0 ? "44-" + std::to_string(opt.lib44) + "-like"
+                                     : "lib2-like";
+  if (copt.supergate_depth > 0) name += "+supergates";
+  CompiledLibrary lib = compile_library(library_source_text(opt), copt, name);
+  if (copt.supergate_depth > 0)
+    std::printf(
+        "supergates: depth %u, %zu kept of %zu candidates "
+        "(%zu classes, %.2fs)\n",
+        copt.supergate_depth, lib.supergate_stats.kept,
+        lib.supergate_stats.candidates, lib.supergate_stats.classes_seen,
+        lib.supergate_stats.generation_seconds);
+  return lib;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   CliOptions opt = parse_args(argc, argv);
+  const MapRequest& req = opt.req;
 
   // ---- serve mode ---------------------------------------------------------
   if (opt.serve) {
     ServeOptions sopt;
-    sopt.num_threads = opt.threads;
+    sopt.num_threads = req.threads;
     // Either source works: the registry sniffs Liberty vs GENLIB.
-    sopt.default_library = !opt.library_path.empty()
-                               ? opt.library_path
-                               : opt.liberty_path;  // empty = per-request
-    sopt.default_compile.supergate_depth = opt.supergate_depth;
-    sopt.default_compile.num_threads = opt.threads;
+    sopt.default_library = opt.library_path;  // empty = per-request
+    sopt.default_compile = compile_options(req);
     ServeSummary s = run_serve(std::cin, std::cout, sopt);
     std::fprintf(stderr,
                  "serve: %llu request(s), %llu error(s), %llu batch(es); "
@@ -297,67 +289,10 @@ int main(int argc, char** argv) try {
   }
 
   // ---- compiled-library cache (--save-lib / --load-lib) -------------------
-  // The untouched default path below rebuilds the library from source on
-  // every run; these flags route through libcache/ instead.
-  std::string lib_name =
-      !opt.library_path.empty() ? opt.library_path
-      : !opt.liberty_path.empty() ? opt.liberty_path
-      : opt.lib44 > 0 ? "44-" + std::to_string(opt.lib44) + "-like"
-                      : "lib2-like";
-  auto genlib_source_text = [&]() -> std::string {
-    // Raw file bytes for either format: compile_library and the
-    // registry sniff Liberty vs GENLIB from the text itself, and the
-    // artifact content hash runs over these bytes.
-    std::string path =
-        !opt.library_path.empty() ? opt.library_path : opt.liberty_path;
-    if (!path.empty()) {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) usage("cannot read library file");
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      return ss.str();
-    }
-    if (opt.lib44 > 0) return write_genlib(make_44_genlib(opt.lib44));
-    return lib2_genlib_text();
-  };
-  LibCompileOptions copt;
-  copt.supergate_depth = opt.supergate_depth;
-  copt.num_threads = opt.threads;
-
   std::optional<CompiledLibrary> clib;
-  if (!opt.load_lib_path.empty()) {
-    LibraryLoadResult loaded = load_compiled_library_file(opt.load_lib_path);
-    if (!loaded.ok) {
-      std::fprintf(stderr, "dagmap_cli: %s: %s\n", opt.load_lib_path.c_str(),
-                   loaded.error.c_str());
-      return 1;
-    }
-    if (!opt.library_path.empty() || !opt.liberty_path.empty() ||
-        opt.lib44 > 0) {
-      // Without an explicit --supergates the artifact defines the
-      // generation options, so validation only asks whether the genlib
-      // source still matches; with one, the options must match too.
-      const LibCompileOptions& want =
-          opt.supergates_set ? copt : loaded.lib.options;
-      std::string why;
-      if (!validate_compiled_library(loaded.lib, genlib_source_text(), want,
-                                     &why)) {
-        std::fprintf(stderr,
-                     "dagmap_cli: stale artifact %s: %s "
-                     "(regenerate with --save-lib)\n",
-                     opt.load_lib_path.c_str(), why.c_str());
-        return 1;
-      }
-    }
-    std::printf("loaded compiled library %s: %zu gates\n",
-                loaded.lib.library.name().c_str(), loaded.lib.library.size());
-    clib = std::move(loaded.lib);
-  } else if (!opt.save_lib_path.empty()) {
-    clib = compile_library(genlib_source_text(), copt,
-                           opt.supergate_depth > 0 ? lib_name + "+supergates"
-                                                   : lib_name);
-  }
-  if (clib && !opt.save_lib_path.empty()) {
+  if (!opt.load_lib_path.empty() || !opt.save_lib_path.empty())
+    clib = build_library(opt);
+  if (!opt.save_lib_path.empty()) {
     save_compiled_library_file(*clib, opt.save_lib_path);
     std::printf("wrote compiled library %s: %zu gates, %zu patterns\n",
                 opt.save_lib_path.c_str(), clib->library.size(),
@@ -366,11 +301,11 @@ int main(int argc, char** argv) try {
   }
 
   // One profiling session spans the whole run (read -> decompose ->
-  // supergates -> map -> verify -> write); dag_map joins it instead of
-  // opening its own.
-  if (opt.profile) obs::start();
+  // map -> verify -> write); the mappers join it instead of opening
+  // their own.
+  if (req.profile) obs::start();
   auto finish_profile = [&opt]() {
-    if (!opt.profile) return;
+    if (!opt.req.profile) return;
     obs::stop();
     obs::ProfileData prof = obs::collect();
     std::fputs(prof.summary().c_str(), stdout);
@@ -400,7 +335,7 @@ int main(int argc, char** argv) try {
     LutMapResult r = flowmap(subject, {.k = opt.lut_k});
     std::printf("flowmap k=%u: depth %u, %zu LUTs\n", opt.lut_k, r.depth,
                 r.num_luts);
-    if (opt.verify &&
+    if (req.verify &&
         !check_equivalence(subject, r.netlist).equivalent) {
       std::fprintf(stderr, "VERIFICATION FAILED\n");
       return 1;
@@ -411,91 +346,24 @@ int main(int argc, char** argv) try {
   }
 
   // ---- library-based flow -------------------------------------------------
-  // Gather the parsed gate list first so --supergates can augment any of
-  // the three sources before the GateLibrary is built.
-  std::vector<GenlibGate> base_gates = [&] {
-    if (clib) return std::vector<GenlibGate>{};  // came precompiled
-    obs::Scope scope("library.read");
-    if (!opt.liberty_path.empty()) {
-      LibertyLibrary ll = read_liberty_file(opt.liberty_path);
-      if (ll.cells_skipped)
-        std::printf("liberty %s: %zu combinational cells (%zu skipped)\n",
-                    ll.name.c_str(), ll.gates.size(), ll.cells_skipped);
-      return std::move(ll.gates);
-    }
-    return !opt.library_path.empty() ? read_genlib_file(opt.library_path)
-         : opt.lib44 > 0             ? make_44_genlib(opt.lib44)
-                                     : parse_genlib(lib2_genlib_text());
-  }();
-  GateLibrary lib = [&]() -> GateLibrary {
-    if (clib) return std::move(clib->library);
-    if (opt.supergate_depth == 0) {
-      // Pattern generation dominates for rich libraries (hundreds of
-      // gates); --supergates times it inside supergate.generate.
-      obs::Scope scope("library.build");
-      return GateLibrary::from_genlib(base_gates, lib_name);
-    }
-    SupergateOptions sgopt;
-    sgopt.max_depth = opt.supergate_depth;
-    sgopt.num_threads = opt.threads;
-    SupergateLibrary sg =
-        generate_supergates(base_gates, sgopt, lib_name + "+supergates");
-    std::printf(
-        "supergates: depth %u, %zu kept of %zu candidates "
-        "(%zu classes, %.2fs)\n",
-        opt.supergate_depth, sg.stats.kept, sg.stats.candidates,
-        sg.stats.classes_seen, sg.stats.generation_seconds);
-    return std::move(sg.library);
-  }();
+  if (!clib) clib = build_library(opt);
+  const GateLibrary& lib = clib->library;
   std::printf("library %s: %zu gates\n", lib.name().c_str(), lib.size());
-  if (!lib.is_complete_for_mapping()) usage("library lacks INV or NAND2");
+  if (!lib.is_complete_for_mapping()) fail("library lacks INV or NAND2");
+  if ((opt.buffer_branch >= 2 || opt.lt_buffer) && !lib.buffer())
+    fail("--buffer and --lt-buffer need a library with a buffer gate");
 
-  // Knobs shared by both backends; each backend adds its own below.
-  MapOptions mopt;
-  mopt.num_threads = opt.threads;
-  mopt.profile = opt.profile;
-  if (opt.partition >= 0)
-    mopt.partition_mode =
-        opt.partition ? PartitionMode::On : PartitionMode::Off;
-  if (opt.partition_window > 0) mopt.partition_window = opt.partition_window;
-  if (opt.match == "extended") mopt.match_class = MatchClass::Extended;
-  else if (opt.match != "standard") usage("bad --match value");
-  if (clib) mopt.pattern_index = &clib->index;
-  mopt.load_rounds = opt.load_rounds;
-
-  MapResult result;
-  Network subject;
-  // Kept alive through the mapping call: MapOptions::choices borrows
-  // `choice->classes`.
-  std::optional<ChoiceDecomposition> choice;
-  if (opt.choices) {
-    obs::Scope scope("decompose.choices");
-    ChoiceOptions chopt;
-    chopt.gens = opt.choice_gens;
-    choice = tech_decompose_choices(circuit, chopt);
-    choice->validate();
-    subject = choice->subject;  // copy preserves node ids, classes stay valid
-    mopt.choices = &choice->classes;
+  MappedRequest mapped;
+  if (opt.mapper == "tree") {
+    mapped.subject = tech_decompose(circuit);
+    mapped.result = tree_map(mapped.subject, lib);
   } else {
-    subject = tech_decompose(circuit);
+    mapped = run_map_request(circuit, *clib, req);
   }
-  if (opt.mapper == "dag" && opt.backend == "cuts") {
-    CutMapOptions copt;
-    static_cast<MapOptions&>(copt) = mopt;
-    copt.cut_size = opt.cut_size;
-    copt.cut_count = opt.cut_count;
-    copt.rounds = opt.rounds;
-    copt.delay_factor = opt.delay_factor;
-    result = cut_map(subject, lib, copt);
-  } else if (opt.mapper == "dag") {
-    DagMapOptions dopt;
-    static_cast<MapOptions&>(dopt) = mopt;
-    dopt.area_recovery = opt.area_recovery;
-    result = dag_map(subject, lib, dopt);
-  } else if (opt.mapper == "tree") result = tree_map(subject, lib);
-  else usage("bad --mapper value");
+  const Network& subject = mapped.subject;
+  MapResult& result = mapped.result;
   std::printf("subject graph: %zu internal nodes\n", subject.num_internal());
-  if (opt.choices)
+  if (req.choices)
     std::printf(
         "choices: %zu classes, %zu extra variants, %zu folds won\n",
         result.choice_classes, result.choice_variants, result.choice_wins);
@@ -506,11 +374,11 @@ int main(int argc, char** argv) try {
         result.num_partitions, result.partition_waves,
         result.partition_boundary_edges, result.partition_max_nodes);
   std::printf("%s mapping: delay %.3f, area %.1f, %zu gates (%.2fs)\n",
-              opt.backend == "cuts" ? "cuts" : opt.mapper.c_str(),
+              req.backend == MapBackend::Cuts ? "cuts" : opt.mapper.c_str(),
               result.optimal_delay,
               result.netlist.total_area(), result.netlist.num_gates(),
               result.cpu_seconds);
-  if (opt.load_rounds > 0)
+  if (req.load_rounds > 0)
     std::printf(
         "load rounds: %zu measured, best round %u, loaded delay "
         "%.3f -> %.3f\n",
@@ -542,16 +410,15 @@ int main(int argc, char** argv) try {
   }
   bool retimed = false;
   if (opt.size) {
-    // Sized variants of the source library (x1/x2/x4).
-    std::string text = !opt.library_path.empty()
-                           ? write_genlib(read_genlib_file(opt.library_path))
-                       : !opt.liberty_path.empty()
-                           ? write_genlib(
-                                 read_liberty_file(opt.liberty_path).gates)
-                       : opt.lib44 > 0 ? write_genlib(make_44_genlib(opt.lib44))
-                                       : lib2_genlib_text();
-    static GateLibrary sized =
-        make_sized_library(text, {1, 2, 4}, lib.name() + "-sized");
+    // Sized variants (x1/x2/x4) of the source library's gates; static
+    // because the sized netlist points into it.
+    std::string source = library_source_text(opt);
+    static GateLibrary sized = GateLibrary::from_genlib(
+        make_sized_genlib(looks_like_liberty(source)
+                              ? parse_liberty(source).gates
+                              : parse_genlib(source),
+                          {1, 2, 4}),
+        lib.name() + "-sized");
     SizingResult sr = size_gates(final_net, sized);
     std::printf("sizing: %zu resized, loaded delay %.3f -> %.3f\n",
                 sr.resized, sr.delay_before, sr.delay_after);
@@ -564,11 +431,11 @@ int main(int argc, char** argv) try {
     retimed = true;
   }
 
-  if (opt.verify && retimed) {
+  if (req.verify && retimed) {
     // Retiming moves state across logic; combinational equivalence no
     // longer applies (sequential equivalence is out of scope here).
     std::printf("verification: skipped (netlist was retimed)\n");
-  } else if (opt.verify) {
+  } else if (req.verify) {
     obs::Scope scope("verify");
     auto eq = check_equivalence(circuit, final_net.to_network());
     std::printf("verification: %s\n", eq.equivalent ? "PASS" : "FAIL");
